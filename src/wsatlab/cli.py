@@ -21,7 +21,7 @@ from .expander import (
     evaluate_condition,
     best_eta,
     i_alpha_exact,
-    sample_configuration,
+    sample_random_regular,
     verify_table,
 )
 from .extremal import (
@@ -43,7 +43,6 @@ from .percolation import (
     activation_partition,
     closure,
     count_a_matchings,
-    enumerate_a_matchings,
     rotate,
 )
 
@@ -82,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", help="write the JSON report to this path")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are identical at any value")
 
     g = sub.add_parser("gamma", help="exact minimum of (m(S)-1)/|S|")
     g.add_argument("graph")
@@ -204,10 +201,14 @@ def _run(args) -> tuple[dict, int]:
         if not 0 <= args.matching < total:
             print(f"matching index out of range [0, {total})", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
-        for i, m in enumerate(enumerate_a_matchings(ap)):
-            if i == args.matching:
-                rotated = rotate(ap, m)
-                break
+        # mixed radix over the sorted owned-edge pools, last part fastest:
+        # the order of enumerate_a_matchings
+        m, index = (), args.matching
+        for part in reversed(ap.parts):
+            pool = sorted(part.owned)
+            index, j = divmod(index, len(pool))
+            m = (pool[j],) + m
+        rotated = rotate(ap, m)
         return {
             "parts": len(ap.parts),
             "matchings": total,
@@ -294,22 +295,19 @@ def _run_expander(args) -> tuple[dict, int]:
         }, 0
     # sample
     seed = _seed(args)
-    for attempt in range(args.attempts):
-        pairing, g = sample_configuration(args.r, args.n, seed + attempt)
-        if g is not None:
-            rep = {
-                "r": args.r,
-                "n": args.n,
-                "seed_used": seed + attempt,
-                "attempts": attempt + 1,
-                "graph": graph_to_graph6(g),
-            }
-            if args.alpha is not None:
-                val = i_alpha_exact(g, args.alpha)
-                rep["i_alpha"] = str(val.value)
-                rep["witness"] = sorted(val.witness)
-            return rep, 0
-    raise BudgetExceededError(f"no simple sample in {args.attempts} attempts")
+    g, attempts = sample_random_regular(args.r, args.n, seed, args.attempts)
+    rep = {
+        "r": args.r,
+        "n": args.n,
+        "seed_used": seed + attempts - 1,
+        "attempts": attempts,
+        "graph": graph_to_graph6(g),
+    }
+    if args.alpha is not None:
+        val = i_alpha_exact(g, args.alpha)
+        rep["i_alpha"] = str(val.value)
+        rep["witness"] = sorted(val.witness)
+    return rep, 0
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .errors import BudgetExceededError, InfeasibleParamsError
-from .expander import i_alpha_exact, sample_configuration
+from .errors import InfeasibleParamsError
+from .expander import i_alpha_exact, sample_random_regular
 from .graphs import Graph, circulant, complete_graph, disjoint_union, subdivide
 
 
@@ -24,7 +24,6 @@ class ConstructionParams:
     k: int
     p: int = 1
     t: int = 0
-    clique_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -274,9 +273,10 @@ def build_high_delta(
     edges; for delta >= 6 with the expansion condition checked, its gamma is
     the target ratio.
 
-    The gadget is resampled from the configuration model until simple and,
-    when ``expander_check`` is on, until i_alpha exceeds 2.01*(1-alpha) for
-    alpha in {0.1, 0.5, t/k} (exact check, so k must stay enumerable).
+    The gadget comes from ``sample_random_regular`` (attempt i uses seed
+    seed + i): it is resampled until simple and, when ``expander_check`` is
+    on, until i_alpha exceeds 2.01*(1-alpha) for alpha in {0.1, 0.5, t/k}
+    (exact check, so k must stay enumerable).
     """
     if delta < 6:
         raise InfeasibleParamsError("this family needs delta >= 6")
@@ -293,25 +293,16 @@ def build_high_delta(
     if not 0 < t <= k // 2 + 1:
         raise InfeasibleParamsError(f"t={t} outside (0, k/2+1]")
     alphas = sorted({Fraction(1, 10), Fraction(1, 2), Fraction(t, k)})
-    rng_seq = __import__("random").Random(seed)
-    g = None
-    for _ in range(max_attempts):
-        _, cand = sample_configuration(delta, k, rng_seq.randrange(2**62))
-        if cand is None:
-            continue
-        if expander_check:
-            if not all(
-                i_alpha_exact(cand, al).value > Fraction(201, 100) * (1 - al)
-                for al in alphas
-                if al <= 1
-            ):
-                continue
-        g = cand
-        break
-    if g is None:
-        raise BudgetExceededError(
-            f"no admissible {delta}-regular gadget in {max_attempts} attempts"
+
+    def expands(g: Graph) -> bool:
+        return all(
+            i_alpha_exact(g, al).value > Fraction(201, 100) * (1 - al)
+            for al in alphas
         )
+
+    g, _ = sample_random_regular(
+        delta, k, seed, max_attempts, accept=expands if expander_check else None
+    )
     if clique_size is None:
         clique_size = 3 * k + delta + 2
     f = _attach_pendants(g, clique_size, [(v, v) for v in range(t)])

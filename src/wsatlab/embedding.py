@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph
+from .graphs import Graph, twin_classes
 
 
 @dataclass(frozen=True)
@@ -83,40 +83,16 @@ class _PatternInfo:
     adj: tuple[int, ...]
 
 
-def _twin_classes(verts, adj):
-    """Partition a component's vertices into twin classes.
-
-    True twins share closed neighborhoods (pairwise adjacent, so their
-    images must form a clique); false twins share open neighborhoods (their
-    images carry no mutual constraint in a subgraph embedding). Twin
-    neighborhoods meet any other class all-or-nothing, which is what lets
-    classes be filled as sets, in any order, with constraints enforced at
-    the later fill.
-    """
-    closed: dict[int, list[int]] = {}
-    for v in verts:
-        closed.setdefault(adj[v] | 1 << v, []).append(v)
-    groups = [(True, tuple(g)) for g in closed.values() if len(g) >= 2]
-    assigned = {v for _, g in groups for v in g}
-    opened: dict[int, list[int]] = {}
-    for v in verts:
-        if v not in assigned:
-            opened.setdefault(adj[v], []).append(v)
-    groups.extend((False, tuple(g)) for g in opened.values() if len(g) >= 2)
-    groups.sort(key=lambda c: c[1][0])
-    classes = []
-    for is_true, members in groups:
-        cmask = 0
-        for m in members:
-            cmask |= 1 << m
-        classes.append((is_true, members, cmask, adj[members[0]] & ~cmask))
-    return tuple(classes)
-
-
 @lru_cache(maxsize=128)
 def _pattern_info(pattern: Graph) -> _PatternInfo:
     degs = pattern.degrees
     adj = pattern._adj
+    classes = []
+    for is_true, members in twin_classes(pattern):
+        cmask = 0
+        for m in members:
+            cmask |= 1 << m
+        classes.append((is_true, members, cmask, adj[members[0]] & ~cmask))
     comps = []
     for verts in pattern.components():
         vset = set(verts)
@@ -136,7 +112,12 @@ def _pattern_info(pattern: Graph) -> _PatternInfo:
             groups.setdefault((degs[a], degs[b]), []).append((a, b))
         seed_groups = tuple(sorted((k, tuple(v)) for k, v in groups.items()))
         min_deg = min((degs[v] for v in vs), default=0)
-        twins = () if is_clique else _twin_classes(vs, adj)
+        # only classes inside one non-clique component are filled as sets
+        # (isolated vertices of different components are open twins too);
+        # true twins' images must form a clique, false twins' are unconstrained
+        twins = () if is_clique else tuple(
+            c for c in classes if c[2] & ~vmask == 0
+        )
         comps.append(
             _Component(vs, vmask, size, edges, is_clique, min_deg, twins, seed_groups)
         )
@@ -162,9 +143,10 @@ class _HostView:
     vertices into one trial.
     """
 
-    __slots__ = ("adj", "deg", "full", "_degmasks", "_twins")
+    __slots__ = ("host", "adj", "deg", "full", "_degmasks", "_twins")
 
     def __init__(self, host: Graph):
+        self.host = host
         self.adj = host._adj
         self.deg = host.degrees
         self.full = (1 << host.n) - 1
@@ -184,32 +166,13 @@ class _HostView:
     @property
     def twins(self) -> list[int]:
         if self._twins is None:
-            n = len(self.adj)
-            masks = [0] * n
-            closed: dict[int, list[int]] = {}
-            for v in range(n):
-                closed.setdefault(self.adj[v] | 1 << v, []).append(v)
-            for group in closed.values():
-                if len(group) >= 2:
-                    m = 0
-                    for v in group:
-                        m |= 1 << v
-                    for v in group:
-                        masks[v] = m
-            opened: dict[int, list[int]] = {}
-            for v in range(n):
-                if masks[v] == 0:
-                    opened.setdefault(self.adj[v], []).append(v)
-            for group in opened.values():
-                if len(group) >= 2:
-                    m = 0
-                    for v in group:
-                        m |= 1 << v
-                    for v in group:
-                        masks[v] = m
-            for v in range(n):
-                if masks[v] == 0:
-                    masks[v] = 1 << v
+            masks = [1 << v for v in range(len(self.adj))]
+            for _, members in twin_classes(self.host):
+                m = 0
+                for v in members:
+                    m |= 1 << v
+                for v in members:
+                    masks[v] = m
             self._twins = masks
         return self._twins
 

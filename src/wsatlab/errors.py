@@ -9,6 +9,10 @@ class GraphFormatError(WsatlabError):
     """Malformed graph6 / edge-list input."""
 
 
+class ParameterRangeError(WsatlabError, ValueError):
+    """A numeric parameter lies outside its documented range."""
+
+
 class CapExceededError(WsatlabError):
     """An exact computation was asked to run past its configured cap."""
 

@@ -17,7 +17,12 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from mpmath import iv
 
-from .errors import CapExceededError, ConditionUnsatisfiableError
+from .errors import (
+    BudgetExceededError,
+    CapExceededError,
+    ConditionUnsatisfiableError,
+    ParameterRangeError,
+)
 from .graphs import Graph
 
 iv.prec = 120
@@ -30,7 +35,7 @@ def _ivf(x: Fraction):
 def _check_alpha(alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
     if not Fraction(0) < alpha <= Fraction(1, 2):
-        raise ValueError("alpha must lie in (0, 1/2]")
+        raise ParameterRangeError("alpha must lie in (0, 1/2]")
     return alpha
 
 
@@ -38,7 +43,7 @@ def condition_lhs(alpha, r: int):
     """(alpha^-alpha (1-alpha)^-(1-alpha))^(1/r) as a rigorous interval."""
     alpha = _check_alpha(alpha)
     if r < 3:
-        raise ValueError("degree must be at least 3")
+        raise ParameterRangeError("degree must be at least 3")
     a = _ivf(alpha)
     ln = (-a * iv.log(a) - (1 - a) * iv.log(1 - a)) / r
     return iv.exp(ln)
@@ -53,7 +58,7 @@ def condition_rhs(alpha, eta):
     alpha = _check_alpha(alpha)
     eta = Fraction(eta)
     if not Fraction(0) <= eta <= Fraction(1):
-        raise ValueError("eta must lie in [0, 1]")
+        raise ParameterRangeError("eta must lie in [0, 1]")
     a = _ivf(alpha)
     e = _ivf(eta)
     if eta == 1:
@@ -99,10 +104,6 @@ def evaluate_condition(alpha, r: int, eta) -> ConditionValue:
     )
 
 
-def condition_holds(alpha, r: int, eta) -> bool:
-    return bool(condition_lhs(alpha, r).b < condition_rhs(alpha, eta).a)
-
-
 def best_eta(alpha, r: int, tol=Fraction(1, 10**7)) -> tuple[Fraction, Fraction]:
     """Smallest eta (within tol) rigorously satisfying the condition, with
     the guaranteed expansion (1-eta) * r * (1-alpha) as an exact rational.
@@ -110,15 +111,15 @@ def best_eta(alpha, r: int, tol=Fraction(1, 10**7)) -> tuple[Fraction, Fraction]
     alpha = Fraction(alpha)
     tol = Fraction(tol)
     if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not condition_holds(alpha, r, Fraction(1)):
+        raise ParameterRangeError("tol must be positive")
+    if not evaluate_condition(alpha, r, Fraction(1)).satisfied:
         raise ConditionUnsatisfiableError(
             f"condition unsatisfiable on [0,1] for alpha={alpha}, r={r}"
         )
     lo, hi = Fraction(0), Fraction(1)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if condition_holds(alpha, r, mid):
+        if evaluate_condition(alpha, r, mid).satisfied:
             hi = mid
         else:
             lo = mid
@@ -182,9 +183,9 @@ def sample_configuration(
     Fixed seed gives an identical pairing.
     """
     if r < 1 or n < 1:
-        raise ValueError("need r >= 1 and n >= 1")
+        raise ParameterRangeError("need r >= 1 and n >= 1")
     if (r * n) % 2:
-        raise ValueError("r*n must be even")
+        raise ParameterRangeError("r*n must be even")
     rng = random.Random(seed)
     half = list(range(r * n))
     rng.shuffle(half)
@@ -206,15 +207,21 @@ def sample_configuration(
 
 
 def sample_random_regular(
-    r: int, n: int, seed: int, max_attempts: int = 10**6
+    r: int, n: int, seed: int, max_attempts: int = 10**6, accept=None
 ) -> tuple[Graph, int]:
-    """Resample configurations until simple; returns (graph, attempts used)."""
-    rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
-        _, g = sample_configuration(r, n, rng.randrange(2**62))
-        if g is not None:
-            return g, attempt
-    raise CapExceededError(f"no simple projection in {max_attempts} attempts")
+    """Resample configurations until the projection is simple and, when
+    ``accept`` is given, ``accept(graph)`` holds; returns (graph, attempts
+    used).
+
+    Attempt i (counting from 0) draws ``sample_configuration(r, n, seed + i)``,
+    so the returned graph is the one of seed ``seed + attempts - 1``.
+    Raises BudgetExceededError when ``max_attempts`` attempts all fail.
+    """
+    for attempt in range(max_attempts):
+        _, g = sample_configuration(r, n, seed + attempt)
+        if g is not None and (accept is None or accept(g)):
+            return g, attempt + 1
+    raise BudgetExceededError(f"no admissible sample in {max_attempts} attempts")
 
 
 # -- exact isoperimetric numbers ------------------------------------------------
@@ -246,15 +253,15 @@ def i_alpha_exact(g: Graph, alpha, cap: int = 26) -> IsoperimetricValue:
     """
     alpha = Fraction(alpha)
     if not Fraction(0) < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise ParameterRangeError("alpha must lie in (0, 1]")
     n = g.n
     if n == 0:
-        raise ValueError("graph must have vertices")
+        raise ParameterRangeError("graph must have vertices")
     if n > cap:
         raise CapExceededError(f"{n} vertices exceed the enumeration cap {cap}")
     kmax = int(alpha * n)
     if kmax < 1:
-        raise ValueError("size bound alpha*n admits no nonempty subset")
+        raise ParameterRangeError("size bound alpha*n admits no nonempty subset")
     size = 1 << n
     esub = np.zeros(size, dtype=np.uint16)
     degsum = np.zeros(size, dtype=np.uint16)

@@ -164,6 +164,32 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
+def twin_classes(g: Graph) -> list[tuple[bool, tuple[int, ...]]]:
+    """Twin classes of size >= 2 as ``(is_true_twin, members)``.
+
+    True twins share closed neighborhoods, false twins share open ones;
+    either way, swapping two members of a class is an automorphism. Closed
+    classes are taken first, then open classes among the vertices left
+    over. Classes are ordered by their smallest member.
+    """
+    adj = g._adj
+    closed: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        closed.setdefault(row | 1 << v, []).append(v)
+    groups = []
+    opened: dict[int, list[int]] = {}
+    for c in closed.values():
+        if len(c) >= 2:
+            groups.append((True, tuple(c)))
+        else:  # singletons arrive in ascending vertex order
+            opened.setdefault(adj[c[0]], []).append(c[0])
+    for c in opened.values():
+        if len(c) >= 2:
+            groups.append((False, tuple(c)))
+    groups.sort(key=lambda c: c[1][0])
+    return groups
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -319,11 +345,13 @@ def graph6_to_graph(s: str) -> Graph:
             n = n << 6 | d
         body = data[8:]
     need = n * (n - 1) // 2
-    if len(body) * 6 < need:
-        raise GraphFormatError("graph6 body too short")
+    if len(body) != -(-need // 6):
+        raise GraphFormatError(f"graph6 body length does not match n={n}")
     bits = []
     for d in body:
         bits.extend((d >> s) & 1 for s in range(5, -1, -1))
+    if any(bits[need:]):
+        raise GraphFormatError("nonzero graph6 padding bits")
     edges = []
     i = 0
     for v in range(1, n):
@@ -346,12 +374,13 @@ def edge_list_to_graph(text: str) -> Graph:
         raise GraphFormatError("empty edge-list text")
     try:
         n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
+        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
+        if len(edges) != m:
+            raise GraphFormatError(f"expected {m} edges, found {len(edges)}")
+        # the constructor rejects self-loops and vertices outside 0..n-1
+        return Graph(n, edges)
     except ValueError as exc:
         raise GraphFormatError(f"bad edge list: {exc}") from exc
-    if len(edges) != m:
-        raise GraphFormatError(f"expected {m} edges, found {len(edges)}")
-    return Graph(n, edges)
 
 
 def read_graph_file(path: str) -> Graph:

@@ -11,6 +11,7 @@ from wsatlab.graphs import (
     star_graph,
     write_graph_file,
 )
+from wsatlab.percolation import activation_partition, closure, enumerate_a_matchings
 
 
 @pytest.fixture()
@@ -114,13 +115,18 @@ def test_construct_determinism(capsys):
 
 
 def test_rotate(files, capsys):
-    code, rep = run(
-        capsys, ["rotate", files["star5"], "--pattern", files["k3"], "--matching", "3"]
-    )
-    assert code == 0
-    res = rep["results"]
-    assert res["parts"] == 3 and res["matchings"] == 12
-    assert res["edge_count"] == 4
+    ap = activation_partition(closure(star_graph(5), complete_graph(3)))
+    for i, matching in enumerate(enumerate_a_matchings(ap)):
+        code, rep = run(
+            capsys,
+            ["rotate", files["star5"], "--pattern", files["k3"], "--matching", str(i)],
+        )
+        assert code == 0
+        res = rep["results"]
+        assert res["parts"] == 3 and res["matchings"] == 12
+        assert res["edge_count"] == 4
+        assert res["removed"] == [list(e) for e in matching]
+    assert i == 11
     with pytest.raises(SystemExit) as ei:
         main(["rotate", files["star5"], "--pattern", files["k3"], "--matching", "99"])
     assert ei.value.code == 1
@@ -176,3 +182,14 @@ def test_usage_errors(files, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["construct", "--family", "sparse"])  # missing delta/k
     assert ei.value.code == 1
+
+
+def test_bad_input_exits_with_one_line(files, capsys):
+    bad_edges = files["tmp"] / "bad.txt"
+    bad_edges.write_text("3 1\n0 5\n")  # vertex outside 0..n-1
+    for argv in (["gamma", str(bad_edges)],
+                 ["expander", "check", "--alpha", "3/4"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

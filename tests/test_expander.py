@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from wsatlab.errors import CapExceededError
+from wsatlab.errors import BudgetExceededError, CapExceededError
 from wsatlab.expander import (
     TABLE_R6,
     best_eta,
@@ -125,6 +125,10 @@ def test_sample_random_regular():
     assert set(g.degrees) == {6} and attempts >= 1
     g2, _ = sample_random_regular(6, 24, seed=7)
     assert g2 == g
+    # attempt i draws seed + i
+    assert sample_configuration(6, 24, 7 + attempts - 1)[1] == g
+    with pytest.raises(BudgetExceededError):
+        sample_random_regular(3, 8, seed=0, max_attempts=5, accept=lambda g: False)
 
 
 def test_i_alpha_examples():

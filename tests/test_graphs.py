@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wsatlab.errors import GraphFormatError
 from wsatlab.graphs import (
     Graph,
     circulant,
@@ -16,6 +19,7 @@ from wsatlab.graphs import (
     path_graph,
     star_graph,
     subdivide,
+    twin_classes,
 )
 from wsatlab.isomorphism import are_isomorphic
 
@@ -132,6 +136,10 @@ def test_disjoint_union():
 
 
 def test_graph6_roundtrip_and_networkx():
+    assert graph_to_graph6(complete_graph(5)) == "D~{"
+    for bad in ["D~{?", "D~|"]:  # trailing byte; nonzero padding bits
+        with pytest.raises(GraphFormatError):
+            graph6_to_graph(bad)
     nx = pytest.importorskip("networkx")
     cases = [
         empty_graph(0),
@@ -163,8 +171,36 @@ def test_edge_list_roundtrip():
     assert edge_list_to_graph(text) == g
     lines = text.splitlines()[1:]
     assert lines == sorted(lines, key=lambda ln: tuple(map(int, ln.split())))
+    for bad in ["3 1\n0 1\n1 2\n", "3 1\n0 3\n"]:  # extra edge; vertex >= n
+        with pytest.raises(GraphFormatError):
+            edge_list_to_graph(bad)
 
 
 def test_non_edges_order():
     g = path_graph(4)
     assert list(g.non_edges()) == [(0, 2), (0, 3), (1, 3)]
+
+
+@st.composite
+def small_graphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(deadline=None)
+@given(small_graphs())
+def test_twin_classes_are_automorphic_and_disjoint(g):
+    seen: set[int] = set()
+    for is_true, members in twin_classes(g):
+        assert len(members) >= 2 and not seen & set(members)
+        seen |= set(members)
+        for a, b in itertools.combinations(members, 2):
+            swap = list(range(g.n))
+            swap[a], swap[b] = b, a
+            assert Graph(g.n, [(swap[u], swap[v]) for u, v in g.edges]) == g
+            if is_true:
+                assert g.adj_mask(a) | 1 << a == g.adj_mask(b) | 1 << b
+            else:
+                assert g.adj_mask(a) == g.adj_mask(b)
