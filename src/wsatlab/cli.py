@@ -313,7 +313,7 @@ def _run_expander(args) -> tuple[dict, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         results, code = _run(args)
     except (BudgetExceededError, CapExceededError) as exc:
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
         },
         "results": results,
         "provenance": {"version": __version__, "seed": getattr(args, "seed", None)},
-        "wall_time_ms": int((time.time() - started) * 1000),
+        "wall_time_ms": int((time.perf_counter() - started) * 1000),
     }
     text = json.dumps(report, indent=2, default=str)
     if args.out:

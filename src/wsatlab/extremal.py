@@ -51,6 +51,13 @@ def gamma_of_set(g: Graph, s: Iterable[int]) -> Fraction:
 
 @dataclass(frozen=True)
 class GammaResult:
+    """A gamma minimum with a minimizing witness set.
+
+    ``nodes_explored`` is the work count of the method that found it: search
+    nodes for ``method="brute"``, and minimum-cut solves for
+    ``method="ratio"``.
+    """
+
     value: Fraction
     witness: frozenset[int]
     method: str
@@ -118,27 +125,61 @@ def gamma_min_brute(g: Graph, cap: int = 20) -> GammaResult:
     return GammaResult(Fraction(num, den), frozenset(verts), "brute", nodes)
 
 
-def _subproblem_network(edges, n, a, b, forced=None):
-    """Min over nonempty S of b*m(S) - a*|S| via project selection.
+class _SubproblemNetwork:
+    """Min over S of b*m(S) - a*|S|, S possibly empty, via project selection.
 
-    Maximizes b*e(T) - a*|T| over complements T; ``forced`` pins one vertex
-    into S (out of T) with an infinite sink capacity.
+    Maximizes b*e(T) - a*|T| over complements T = V - S on a source, edge,
+    vertex, sink network: source -> edge i with capacity b, edge i -> each
+    endpoint with infinite capacity, vertex -> sink with capacity a. The
+    arcs are built once; each solve only resets the capacity list. ``solve``
+    returns the largest minimizer, the complement of the residual-reachable
+    (minimal) source side, so it is the empty set exactly when that is the
+    unique optimum. ``forced`` pins one vertex into S (out of T) with an
+    infinite sink capacity.
     """
-    m = len(edges)
-    src, snk = 0, 1 + m + n
-    inf = (a + b) * (m + n) + 1
-    net = MaxFlow(m + n + 2)
-    for i, (u, v) in enumerate(edges):
-        net.add_edge(src, 1 + i, b)
-        net.add_edge(1 + i, 1 + m + u, inf)
-        net.add_edge(1 + i, 1 + m + v, inf)
-    for v in range(n):
-        cap = inf if v == forced else a
-        net.add_edge(1 + m + v, snk, cap)
-    net.max_flow(src, snk)
-    side = net.source_side(src)
-    t_side = {v for v in range(n) if (1 + m + v) in side}
-    return frozenset(range(n)) - frozenset(t_side)
+
+    def __init__(self, edges, n):
+        self.edges, self.n = edges, n
+        m = len(edges)
+        self.net = MaxFlow(m + n + 2)
+        # arc layout: edge i owns arcs 6i (from the source), 6i+2 and 6i+4
+        # (to its endpoints); vertex v's sink arc is 6m+2v
+        for i, (u, v) in enumerate(edges):
+            self.net.add_edge(0, 1 + i, 0)
+            self.net.add_edge(1 + i, 1 + m + u, 0)
+            self.net.add_edge(1 + i, 1 + m + v, 0)
+        for v in range(n):
+            self.net.add_edge(1 + m + v, 1 + m + n, 0)
+
+    def solve(self, a: int, b: int, forced: int | None = None) -> frozenset[int]:
+        edges, n, net = self.edges, self.n, self.net
+        m = len(edges)
+        inf = (a + b) * (m + n) + 1
+        room = [a] * n  # sink capacity left unused by the greedy flow
+        if forced is not None:
+            room[forced] = inf
+        cap = [b, 0, inf, 0, inf, 0] * m + [a, 0] * n
+        # greedy flow: each edge node sends its b, in edge order, to the
+        # room left at its first endpoint and then at its second
+        k = 0
+        for u, v in edges:
+            ru, rv = room[u], room[v]
+            if ru or rv:
+                x = b if ru > b else ru
+                y = b - x if rv > b - x else rv
+                room[u] = ru - x
+                room[v] = rv - y
+                cap[k:k + 6] = (b - x - y, x + y, inf - x, x, inf - y, y)
+            k += 6
+        for v in range(n):
+            full = inf if v == forced else a
+            cap[k] = room[v]
+            cap[k + 1] = full - room[v]
+            k += 2
+        net.cap = cap
+        net.max_flow(0, 1 + m + n)
+        side = net.source_side(0)
+        return frozenset(v for v in range(n) if (1 + m + v) not in side)
 
 
 def gamma_min_ratio(g: Graph) -> GammaResult:
@@ -158,19 +199,20 @@ def gamma_min_ratio(g: Graph) -> GammaResult:
     edges = g.sorted_edges()
     lam = Fraction(len(edges) - 1, n)
     witness = frozenset(range(n))
+    network = _SubproblemNetwork(edges, n)
     solves = 0
 
     def solve(lmb: Fraction):
         nonlocal solves
         a, b = lmb.numerator, lmb.denominator
         solves += 1
-        s = _subproblem_network(edges, n, a, b)
+        s = network.solve(a, b)
         if s:
             return Fraction(m_f(g, s), 1) - lmb * len(s), s
         best_val, best_s = None, None
         for v in range(n):
             solves += 1
-            sv = _subproblem_network(edges, n, a, b, forced=v)
+            sv = network.solve(a, b, forced=v)
             val = Fraction(m_f(g, sv), 1) - lmb * len(sv)
             if best_val is None or val < best_val:
                 best_val, best_s = val, sv

@@ -1,9 +1,16 @@
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
+from wsatlab.constructions import (
+    build_delta3,
+    build_delta4,
+    counterexample_15_7,
+    solve_params,
+)
 from wsatlab.errors import BudgetExceededError, CapExceededError
 from wsatlab.extremal import (
     build_f_tilde,
@@ -107,6 +114,139 @@ def test_dinkelbach_certificate():
         ]
         assert min(vals) == 0
         assert gamma_of_set(g, res.witness) == lam
+
+
+class RecursiveMaxFlow:
+    """The earlier recursive Dinic, kept as the oracle for gamma_min_ratio."""
+
+    def __init__(self, num_nodes):
+        self.n = num_nodes
+        self.head = [[] for _ in range(num_nodes)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, capacity):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s, t):
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            dq = deque([s])
+            while dq:
+                u = dq.popleft()
+                for ei in self.head[u]:
+                    v = self.to[ei]
+                    if self.cap[ei] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        dq.append(v)
+            if level[t] < 0:
+                return
+            it = [0] * self.n
+
+            def dfs(u, pushed):
+                if u == t:
+                    return pushed
+                while it[u] < len(self.head[u]):
+                    ei = self.head[u][it[u]]
+                    v = self.to[ei]
+                    if self.cap[ei] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, self.cap[ei]))
+                        if got > 0:
+                            self.cap[ei] -= got
+                            self.cap[ei ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while dfs(s, 1 << 200):
+                pass
+
+    def source_side(self, s):
+        seen = {s}
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for ei in self.head[u]:
+                v = self.to[ei]
+                if self.cap[ei] > 0 and v not in seen:
+                    seen.add(v)
+                    dq.append(v)
+        return seen
+
+
+def cold_subproblem(edges, n, a, b, forced=None):
+    """Largest minimizer of b*m(S) - a*|S| on a network built from scratch."""
+    m = len(edges)
+    src, snk = 0, 1 + m + n
+    inf = (a + b) * (m + n) + 1
+    net = RecursiveMaxFlow(m + n + 2)
+    for i, (u, v) in enumerate(edges):
+        net.add_edge(src, 1 + i, b)
+        net.add_edge(1 + i, 1 + m + u, inf)
+        net.add_edge(1 + i, 1 + m + v, inf)
+    for v in range(n):
+        net.add_edge(1 + m + v, snk, inf if v == forced else a)
+    net.max_flow(src, snk)
+    side = net.source_side(src)
+    return frozenset(v for v in range(n) if (1 + m + v) not in side)
+
+
+def gamma_min_ratio_cold(g):
+    """gamma_min_ratio with one cold network per solve: (value, witness, solves)."""
+    n = g.n
+    for v in range(n):
+        if g.degree(v) == 0:
+            return Fraction(-1), frozenset({v}), 0
+    edges = g.sorted_edges()
+    lam = Fraction(len(edges) - 1, n)
+    witness = frozenset(range(n))
+    solves = 0
+    while True:
+        a, b = lam.numerator, lam.denominator
+        solves += 1
+        s = cold_subproblem(edges, n, a, b)
+        if s:
+            val = m_f(g, s) - lam * len(s)
+        else:
+            val = None
+            for v in range(n):
+                solves += 1
+                sv = cold_subproblem(edges, n, a, b, forced=v)
+                vv = m_f(g, sv) - lam * len(sv)
+                if val is None or vv < val:
+                    val, s = vv, sv
+        if val - 1 >= 0:
+            return lam, witness, solves
+        lam = Fraction(m_f(g, s) - 1, len(s))
+        witness = s
+
+
+def oracle_cases():
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        yield rand_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.75]))
+    for ratio in (Fraction(3, 2), Fraction(8, 5), Fraction(7, 4)):
+        yield build_delta3(solve_params(3, ratio)).graph
+    for ratio in (Fraction(2), Fraction(7, 3), Fraction(5, 2)):
+        yield build_delta4(solve_params(4, ratio)).graph
+    for big in (7, 20):
+        yield counterexample_15_7(clique_big=big).graph
+    # long residual paths
+    yield path_graph(60)
+    yield Graph(60, [(rng.randrange(v), v) for v in range(1, 60)])
+
+
+def test_gamma_ratio_matches_cold_network_oracle():
+    for g in oracle_cases():
+        res = gamma_min_ratio(g)
+        assert (res.value, res.witness, res.nodes_explored) == gamma_min_ratio_cold(g)
 
 
 def test_f_tilde_examples():
