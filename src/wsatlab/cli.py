@@ -40,6 +40,7 @@ from .constructions import (
 )
 from .graphs import Graph, graph_to_graph6, read_graph_file
 from .percolation import (
+    a_matching,
     activation_partition,
     closure,
     count_a_matchings,
@@ -201,13 +202,7 @@ def _run(args) -> tuple[dict, int]:
         if not 0 <= args.matching < total:
             print(f"matching index out of range [0, {total})", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
-        # mixed radix over the sorted owned-edge pools, last part fastest:
-        # the order of enumerate_a_matchings
-        m, index = (), args.matching
-        for part in reversed(ap.parts):
-            pool = sorted(part.owned)
-            index, j = divmod(index, len(pool))
-            m = (pool[j],) + m
+        m = a_matching(ap, args.matching)
         rotated = rotate(ap, m)
         return {
             "parts": len(ap.parts),

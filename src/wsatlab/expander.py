@@ -9,6 +9,7 @@ only when sup(lhs) < inf(rhs).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,10 +83,6 @@ class ConditionValue:
     rhs_sup: float
     rhs_inf: float
     satisfied: bool  # rigorous: sup(lhs) < inf(rhs)
-
-    @property
-    def margin_lower_bound(self) -> float:
-        return self.rhs_inf - self.lhs_sup
 
 
 def evaluate_condition(alpha, r: int, eta) -> ConditionValue:
@@ -227,6 +224,9 @@ def sample_random_regular(
 # -- exact isoperimetric numbers ------------------------------------------------
 
 
+_CHUNK = 1 << 14  # masks per block of the i_alpha_exact sweep
+
+
 class IsoperimetricValue(NamedTuple):
     value: Fraction
     witness: frozenset[int]
@@ -247,9 +247,17 @@ def boundary_count(g: Graph, s: Iterable[int]) -> int:
 def i_alpha_exact(g: Graph, alpha, cap: int = 26) -> IsoperimetricValue:
     """Exact min of x(S)/|S| over nonempty S with |S| <= alpha*|V|.
 
-    All 2^n subsets are swept with a vectorized subset-sum recurrence for
-    edge counts; the winning ratio is re-verified and tie-broken with exact
-    integer arithmetic (smallest ratio, then smallest set, then lowest mask).
+    The boundary count x(S) of all 2^n subsets fills one int16 array by
+    top-bit doubling, x(S + b) = x(S) + deg(b) - 2|N(b) & S| for S below b.
+    With L = lcm(1..kmax), each admissible S gets the integer key
+    x(S)*(L/|S|)*(n+1) + |S|, and keys order sets by ratio, then by size.
+    The sweep takes the first minimal key in ascending mask order, in chunks
+    of ``_CHUNK`` masks, so the tie-break is smallest ratio, then smallest
+    set, then lowest mask, and all selection arithmetic is exact integer
+    arithmetic. Memory is two bytes per subset plus one chunk.
+
+    Raises CapExceededError, before allocating, when n exceeds ``cap`` or
+    when a key could overflow int64.
     """
     alpha = Fraction(alpha)
     if not Fraction(0) < alpha <= 1:
@@ -262,38 +270,35 @@ def i_alpha_exact(g: Graph, alpha, cap: int = 26) -> IsoperimetricValue:
     kmax = int(alpha * n)
     if kmax < 1:
         raise ParameterRangeError("size bound alpha*n admits no nonempty subset")
-    size = 1 << n
-    esub = np.zeros(size, dtype=np.uint16)
-    degsum = np.zeros(size, dtype=np.uint16)
-    popc = np.zeros(size, dtype=np.uint8)
-    degs = g.degrees
-    # fill masks by descending lowest set bit, so each parent mask (the set
-    # minus its lowest vertex) is already computed; masks with lowest bit b
-    # form the strided slice [2^b :: 2^(b+1)]
-    for b in range(n - 1, -1, -1):
-        step = 1 << (b + 1)
-        hi = np.arange(size >> (b + 1), dtype=np.uint32) << (b + 1)
-        inter = np.bitwise_count(hi & np.uint32(g.adj_mask(b) & (size - 1)))
-        esub[1 << b :: step] = esub[::step] + inter.astype(np.uint16)
-        degsum[1 << b :: step] = degsum[::step] + np.uint16(degs[b])
-        popc[1 << b :: step] = popc[::step] + np.uint8(1)
-    x = degsum.astype(np.int32) - 2 * esub.astype(np.int32)
-    valid = (popc >= 1) & (popc <= kmax)
-    masks = np.nonzero(valid)[0]
-    xv = x[masks]
-    kv = popc[masks].astype(np.int64)
-    xv64 = xv.astype(np.int64)
-    j = int(np.argmin(xv / kv.astype(np.float64)))
-    best = Fraction(int(xv[j]), int(kv[j]))
-    while True:
-        better = xv64 * best.denominator < best.numerator * kv
-        if not better.any():
-            break
-        idx = np.nonzero(better)[0]
-        jj = idx[int(np.argmin(xv64[idx] / kv[idx].astype(np.float64)))]
-        best = Fraction(int(xv64[jj]), int(kv[jj]))
-    ties = np.nonzero(xv64 * best.denominator == best.numerator * kv)[0]
-    order = np.lexsort((masks[ties], kv[ties]))
-    wmask = int(masks[ties[order[0]]])
+    lcm = math.lcm(*range(1, kmax + 1))
+    top = np.iinfo(np.int64).max
+    # x(S) <= |E|, and the key of a set of size k is at most
+    # |E|*lcm*(n+1) + k; keys must stay below the sentinel ``top``
+    if g.num_edges * lcm * (n + 1) + kmax >= top:
+        raise CapExceededError(
+            f"isoperimetric keys overflow int64 at n={n}, |S| <= {kmax}"
+        )
+    x = np.zeros(1 << n, dtype=np.int16)
+    for b in range(n):
+        h = 1 << b
+        nb = g.adj_mask(b) & (h - 1)
+        for lo in range(0, h, _CHUNK):
+            hi = min(lo + _CHUNK, h)
+            inside = np.bitwise_count(np.arange(lo, hi) & nb)
+            x[h + lo : h + hi] = x[lo:hi] + g.degree(b) - 2 * inside
+    # per-size key parts: sizes outside 1..kmax get scale 0 and the sentinel
+    scale = np.zeros(n + 1, dtype=np.int64)
+    offset = np.full(n + 1, top, dtype=np.int64)
+    for k in range(1, kmax + 1):
+        scale[k] = lcm // k * (n + 1)
+        offset[k] = k
+    best_key, wmask = top, 0
+    for lo in range(0, 1 << n, _CHUNK):
+        hi = min(lo + _CHUNK, 1 << n)
+        k = np.bitwise_count(np.arange(lo, hi))
+        key = scale[k] * x[lo:hi] + offset[k]
+        j = int(np.argmin(key))
+        if key[j] < best_key:
+            best_key, wmask = int(key[j]), lo + j
     witness = frozenset(v for v in range(n) if wmask >> v & 1)
-    return IsoperimetricValue(best, witness)
+    return IsoperimetricValue(Fraction(int(x[wmask]), len(witness)), witness)

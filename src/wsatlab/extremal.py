@@ -178,8 +178,8 @@ class _SubproblemNetwork:
             k += 2
         net.cap = cap
         net.max_flow(0, 1 + m + n)
-        side = net.source_side(0)
-        return frozenset(v for v in range(n) if (1 + m + v) not in side)
+        level = net.level
+        return frozenset(v for v in range(n) if level[1 + m + v] < 0)
 
 
 def gamma_min_ratio(g: Graph) -> GammaResult:

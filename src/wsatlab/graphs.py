@@ -7,7 +7,6 @@ Graphs are hashable values: all operations return new graphs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError
@@ -402,7 +401,3 @@ def write_graph_file(g: Graph, path: str, fmt: str = "graph6") -> None:
             fh.write(graph_to_edge_list(g))
         else:
             raise ValueError(f"unknown format {fmt!r}")
-
-
-def density(num_edges: int, num_vertices: int) -> Fraction:
-    return Fraction(num_edges, num_vertices)

@@ -83,6 +83,3 @@ class IsoClassRegistry:
                 return False
         bucket.append(g)
         return True
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())

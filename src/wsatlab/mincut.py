@@ -8,11 +8,13 @@ feasible flow, for instance to re-solve with other capacities on the same
 arcs or to start from a greedy flow, and ``max_flow`` augments it to a
 maximum one.
 
-Cuts do not depend on which maximum flow is found: ``source_side`` returns
-the nodes reachable from the source in the residual graph, which is the
-source side of the unique minimal minimum cut (the intersection of all
-minimum-cut source sets) for every maximum flow. So the starting flow and
-the augmenting order never change a cut that callers read off.
+Cuts do not depend on which maximum flow is found: the final level search
+of ``max_flow`` leaves ``level[v] >= 0`` exactly for the nodes reachable
+from the source in the residual graph, and ``source_side`` returns them.
+That is the source side of the unique minimal minimum cut (the
+intersection of all minimum-cut source sets) for every maximum flow. So
+the starting flow and the augmenting order never change a cut that
+callers read off.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ class MaxFlow:
         self.head: list[list[int]] = [[] for _ in range(num_nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.level: list[int] = []
 
     def add_edge(self, u: int, v: int, capacity: int) -> None:
         self.head[u].append(len(self.to))
@@ -49,6 +52,7 @@ class MaxFlow:
                         level[v] = lv
                         queue.append(v)
             if level[t] < 0:
+                self.level = level
                 return flow
             # blocking flow: walk forward along level arcs from s, keeping
             # the path's arcs on a stack, and step back past dead ends
@@ -89,16 +93,7 @@ class MaxFlow:
                 else:
                     break
 
-    def source_side(self, s: int) -> set[int]:
-        """Nodes reachable from s in the residual graph: the minimal min cut."""
-        head, to, cap = self.head, self.to, self.cap
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for ei in head[u]:
-                v = to[ei]
-                if cap[ei] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return set(queue)
+    def source_side(self) -> set[int]:
+        """Nodes reachable from s in the residual graph of the last
+        ``max_flow(s, t)``: the minimal min cut."""
+        return {v for v, lv in enumerate(self.level) if lv >= 0}

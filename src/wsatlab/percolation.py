@@ -132,12 +132,6 @@ class ActivationPartition:
     free_edges: frozenset[tuple[int, int]]
     g_hat: Graph
 
-    def part_of(self, v: int) -> int:
-        for i, p in enumerate(self.parts):
-            if v in p.vertices:
-                return i
-        raise KeyError(v)
-
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -201,6 +195,19 @@ def enumerate_a_matchings(ap: ActivationPartition) -> Iterator[AMatching]:
         raise EmptyOwnershipError(f"parts {empty} own no edge")
     pools = [sorted(p.owned) for p in ap.parts]
     yield from itertools.product(*pools)
+
+
+def a_matching(ap: ActivationPartition, index: int) -> AMatching:
+    """The ``index``-th A-matching of ``enumerate_a_matchings``: ``index``
+    in mixed radix over the sorted owned-edge pools, last part fastest."""
+    if not 0 <= index < count_a_matchings(ap):
+        raise IndexError(f"A-matching index {index} out of range")
+    m: AMatching = ()
+    for part in reversed(ap.parts):
+        pool = sorted(part.owned)
+        index, j = divmod(index, len(pool))
+        m = (pool[j],) + m
+    return m
 
 
 def count_a_matchings(ap: ActivationPartition) -> int:

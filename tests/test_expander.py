@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import wsatlab
 from wsatlab.errors import BudgetExceededError, CapExceededError
 from wsatlab.expander import (
     TABLE_R6,
@@ -144,26 +149,70 @@ def test_i_alpha_examples():
 
 
 def brute_i_alpha(g, alpha):
+    """(value, witness) by enumeration, with the documented tie-break:
+    smallest ratio, then smallest set, then lowest mask."""
     kmax = int(Fraction(alpha) * g.n)
     best = None
     for k in range(1, kmax + 1):
         for s in itertools.combinations(range(g.n), k):
-            val = Fraction(boundary_count(g, s), k)
-            if best is None or val < best:
-                best = val
-    return best
+            key = (Fraction(boundary_count(g, s), k), k, sum(1 << v for v in s))
+            if best is None or key < best[0]:
+                best = (key, frozenset(s))
+    return best[0][0], best[1]
 
 
 def test_i_alpha_against_brute():
     rng = random.Random(11)
+    cases = []
     for _ in range(25):
         n = rng.randint(3, 9)
-        g = rand_graph(rng, n, 0.5)
-        alpha = Fraction(rng.randint(1, n), n)
+        cases.append((rand_graph(rng, n, 0.5), Fraction(rng.randint(1, n), n)))
+    # tie-heavy inputs: many sets share the minimal ratio
+    for g in (
+        Graph(7, []),
+        complete_graph(7),
+        cycle_graph(8),
+        cycle_graph(9),
+        disjoint_union([complete_graph(3)] * 3),
+        disjoint_union([complete_graph(2), complete_graph(4), complete_graph(2)]),
+    ):
+        cases += [(g, Fraction(k, g.n)) for k in range(1, g.n + 1)]
+    for g, alpha in cases:
         got = i_alpha_exact(g, alpha)
-        assert got.value == brute_i_alpha(g, alpha)
+        assert (got.value, got.witness) == brute_i_alpha(g, alpha)
         assert boundary_count(g, got.witness) == got.value * len(got.witness)
-        assert len(got.witness) <= alpha * n
+        assert len(got.witness) <= alpha * g.n
+
+
+def test_i_alpha_memory_is_bounded():
+    # two bytes per subset, 32 MB for the 2^24 sets at n=24, plus one chunk
+    code = (
+        "import resource; from fractions import Fraction; "
+        "from wsatlab.expander import i_alpha_exact, sample_random_regular; "
+        "g, _ = sample_random_regular(6, 24, seed=3); "
+        "i_alpha_exact(g, Fraction(1, 2)); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    src = os.path.dirname(os.path.dirname(wsatlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert int(out) < 250 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_i_alpha_key_overflow_raises_before_allocating():
+    # lcm(1..64) * 2016 edges * 65 > 2^63; an array of 2^64 subsets cannot
+    # be made at all, so any allocation before the guard raises another error
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            i_alpha_exact(complete_graph(64), Fraction(1), cap=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_boundary_additivity():

@@ -42,7 +42,7 @@ def test_max_flow_matches_brute_force_cuts(case):
     net = build(n, arcs)
     best, sides = brute_min_cuts(n, arcs)
     assert net.max_flow(0, n - 1) == best
-    assert net.source_side(0) == set.intersection(*sides)
+    assert net.source_side() == set.intersection(*sides)
     # a second call finds nothing left to augment
     assert net.max_flow(0, n - 1) == 0
 
@@ -65,7 +65,7 @@ def test_capacity_reset_matches_fresh_network(case, data):
     net.cap = caps
     fresh = build(n, raised)
     assert net.max_flow(0, n - 1) == fresh.max_flow(0, n - 1)
-    assert net.source_side(0) == fresh.source_side(0)
+    assert net.source_side() == fresh.source_side()
 
 
 @settings(deadline=None, max_examples=200)
@@ -83,7 +83,7 @@ def test_augments_from_a_feasible_starting_flow(case):
     net.cap = caps
     best, sides = brute_min_cuts(n, arcs)
     assert start + net.max_flow(0, n - 1) == best
-    assert net.source_side(0) == set.intersection(*sides)
+    assert net.source_side() == set.intersection(*sides)
 
 
 def test_long_path_needs_no_recursion():
@@ -93,4 +93,4 @@ def test_long_path_needs_no_recursion():
     for v in range(n - 1):
         net.add_edge(v, v + 1, 3 if v % 7 else 5)
     assert net.max_flow(0, n - 1) == 3
-    assert net.source_side(0) == {0, 1}
+    assert net.source_side() == {0, 1}

@@ -20,6 +20,7 @@ from wsatlab.percolation import (
     ActivationPartition,
     Part,
     PercolationTrace,
+    a_matching,
     activation_partition,
     closure,
     count_a_matchings,
@@ -223,6 +224,22 @@ def test_gadget_instance_partition_and_components():
     idx = ap.parts.index(gadget2)
     assert [idx] in comps
     assert len(comps) >= 2
+
+
+@pytest.mark.parametrize(
+    "host, pattern",
+    [(star_graph(5), K3), (two_gadget_host(), GADGET_PATTERN)],
+    ids=["star", "gadget"],
+)
+def test_a_matching_is_the_enumeration_order(host, pattern):
+    ap = activation_partition(closure(host, pattern))
+    ms = list(enumerate_a_matchings(ap))
+    assert len(ms) == count_a_matchings(ap) > 1
+    for i, m in enumerate(ms):
+        assert a_matching(ap, i) == m
+    for bad in (-1, len(ms)):
+        with pytest.raises(IndexError):
+            a_matching(ap, bad)
 
 
 def test_part_density():
