@@ -15,12 +15,22 @@ the factorial re-permutation a plain VF2-style search would do on a
 hundred-vertex clique block.
 
 Patterns are pre-analyzed once and cached, since percolation reuses one
-pattern across many hosts.
+pattern across many hosts, and nearly every closure probe is a miss. The
+analysis keeps one seed per twin orbit: swapping twins is a pattern
+automorphism, so a seed and its swaps have the same image sets and only
+the first can succeed first. Each component keeps a search plan for the
+unseeded search and, from the first probe that tries it, one for each kept
+seed: everything that depends on the pattern and the pinned vertices
+alone (which twin classes are filled as sets, the free vertices, their
+degrees and pinned neighbors), so a probe does only host mask work.
+Every backtracking loop keeps an explicit stack or a flat stack of child
+generators, so no pattern size (components, free vertices, twin classes or
+class members) is bounded by recursion depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graphs import Graph, twin_classes
@@ -61,19 +71,118 @@ class Embedding:
 
 
 @dataclass(frozen=True)
+class _Plan:
+    """Search plan of one non-clique component with some pattern vertices
+    pinned to caller-chosen host vertices: everything about the search that
+    depends on the pattern and the pinned set alone, compiled once.
+
+    Anchors and classes are referred to by index, so a search reads the
+    host images of the pinned vertices from a tuple in ``anchors`` order.
+    """
+
+    anchors: tuple[int, ...]
+    # index pairs (i, j) of anchors adjacent in the pattern
+    anchor_edges: tuple[tuple[int, int], ...]
+    # vertices placed one by one, with their degrees and adjacent anchors
+    free: tuple[int, ...]
+    free_degs: tuple[int, ...]
+    free_anchors: tuple[tuple[int, ...], ...]
+    # twin classes with >= 2 unpinned members, filled as sets: (true twins,
+    # member mask, pattern neighbors outside the class, members to fill)
+    classes: tuple[tuple[bool, int, int, tuple[int, ...]], ...]
+    class_degs: tuple[int, ...]
+    class_anchors: tuple[tuple[int, ...], ...]
+    class_needs: tuple[int, ...]
+
+
+def _compile_plan(verts, twins, degs, padj, anchors) -> _Plan:
+    pinned = set(anchors)
+    classes = []
+    for is_true, members, cmask, outside in twins:
+        to_fill = tuple(m for m in members if m not in pinned)
+        if len(to_fill) >= 2:
+            classes.append((is_true, cmask, outside, to_fill))
+    deferred = 0
+    for *_, to_fill in classes:
+        for m in to_fill:
+            deferred |= 1 << m
+    free = tuple(v for v in verts if v not in pinned and not deferred >> v & 1)
+    return _Plan(
+        anchors=anchors,
+        anchor_edges=tuple(
+            (i, j)
+            for i, a in enumerate(anchors)
+            for j in range(i + 1, len(anchors))
+            if padj[a] >> anchors[j] & 1
+        ),
+        free=free,
+        free_degs=tuple(degs[w] for w in free),
+        free_anchors=tuple(
+            tuple(i for i, a in enumerate(anchors) if padj[w] >> a & 1)
+            for w in free
+        ),
+        classes=tuple(classes),
+        class_degs=tuple(degs[c[3][0]] for c in classes),
+        class_anchors=tuple(
+            tuple(
+                i
+                for i, a in enumerate(anchors)
+                if outside >> a & 1 or (is_true and cmask >> a & 1)
+            )
+            for is_true, cmask, outside, _ in classes
+        ),
+        class_needs=tuple(len(c[3]) for c in classes),
+    )
+
+
+def _orbit_seeds(edges, twins) -> list[tuple[int, int]]:
+    """First directed edge of each orbit under swaps inside twin classes.
+
+    Directed edges (a, b) and (a', b') share an orbit exactly when a and a'
+    are equal or in one class, and likewise b and b' (two members of one
+    class reach every ordered pair of distinct members).
+    """
+    cls = {}
+    for k, (_, members, _, _) in enumerate(twins):
+        for m in members:
+            cls[m] = -1 - k
+    kept = []
+    orbits = set()
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            key = (cls.get(a, a), cls.get(b, b))
+            if key not in orbits:
+                orbits.add(key)
+                kept.append((a, b))
+    return kept
+
+
+@dataclass(frozen=True)
 class _Component:
     verts: tuple[int, ...]
-    vmask: int
     size: int
     edges: tuple[tuple[int, int], ...]
     is_clique: bool
     min_deg: int
-    # twin classes of size >= 2: (images_mutually_adjacent, members, member
-    # mask, pattern neighbors outside the class)
-    twin_classes: tuple[tuple[bool, tuple[int, ...], int, int], ...]
-    # pattern edges eligible to host the forced edge, both orientations,
-    # grouped by endpoint degrees for cheap feasibility filtering
+    # twin classes of size >= 2 inside a non-clique component, filled as
+    # sets: (images_mutually_adjacent, members, member mask, pattern
+    # neighbors outside the class)
+    twins: tuple[tuple[bool, tuple[int, ...], int, int], ...]
+    # seeds (a, b) for the forced edge, grouped by endpoint degrees for
+    # cheap feasibility filtering. A clique has the one seed (verts[0],
+    # verts[1]). Otherwise only the first directed pattern edge of each
+    # orbit under twin swaps is kept: a swapped seed has the same image
+    # sets, so it fails whenever the kept one did. Twins have equal
+    # degrees, so an orbit never straddles two groups.
     seed_groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
+    # plan with nothing pinned (None for a clique)
+    plan: _Plan | None
+    # plans of the seeds, each compiled the first time a probe tries it
+    # (_seed_plan), so a pattern pays only for the seeds its probes reach;
+    # compiling all of them up front is |E| * |V| work per component
+    seed_plans: dict[tuple[int, int], _Plan] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -83,43 +192,61 @@ class _PatternInfo:
     adj: tuple[int, ...]
 
 
+def _seed_plan(info: _PatternInfo, comp: _Component, seed: tuple[int, int]) -> _Plan:
+    plan = _compile_plan(comp.verts, comp.twins, info.degrees, info.adj, seed)
+    comp.seed_plans[seed] = plan
+    return plan
+
+
 @lru_cache(maxsize=128)
 def _pattern_info(pattern: Graph) -> _PatternInfo:
     degs = pattern.degrees
     adj = pattern._adj
-    classes = []
+    verts_of = pattern.components()
+    comp_of = [0] * pattern.n
+    for k, verts in enumerate(verts_of):
+        for v in verts:
+            comp_of[v] = k
+    edges_of: list[list[tuple[int, int]]] = [[] for _ in verts_of]
+    for u, v in pattern.sorted_edges():
+        edges_of[comp_of[u]].append((u, v))
+    # only classes inside one non-clique component are filled as sets
+    # (isolated vertices of different components are open twins too); true
+    # twins' images must form a clique, false twins' are unconstrained
+    twins_of: list[list[tuple[bool, tuple[int, ...], int, int]]]
+    twins_of = [[] for _ in verts_of]
     for is_true, members in twin_classes(pattern):
-        cmask = 0
-        for m in members:
-            cmask |= 1 << m
-        classes.append((is_true, members, cmask, adj[members[0]] & ~cmask))
+        k = comp_of[members[0]]
+        if all(comp_of[m] == k for m in members):
+            cmask = 0
+            for m in members:
+                cmask |= 1 << m
+            twins_of[k].append((is_true, members, cmask, adj[members[0]] & ~cmask))
     comps = []
-    for verts in pattern.components():
-        vset = set(verts)
+    for verts, edges, twins in zip(verts_of, edges_of, twins_of):
         vs = tuple(verts)
-        vmask = 0
-        for v in vs:
-            vmask |= 1 << v
-        edges = tuple((u, v) for u, v in pattern.sorted_edges() if u in vset)
+        edges = tuple(edges)
         size = len(vs)
         is_clique = len(edges) == size * (size - 1) // 2
         if is_clique:
+            twins = ()
             seeds = [(vs[0], vs[1])] if size >= 2 else []
+            plan = None
         else:
-            seeds = [s for u, v in edges for s in ((u, v), (v, u))]
+            twins = tuple(twins)
+            seeds = _orbit_seeds(edges, twins)
+            plan = _compile_plan(vs, twins, degs, adj, ())
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for a, b in seeds:
             groups.setdefault((degs[a], degs[b]), []).append((a, b))
-        seed_groups = tuple(sorted((k, tuple(v)) for k, v in groups.items()))
-        min_deg = min((degs[v] for v in vs), default=0)
-        # only classes inside one non-clique component are filled as sets
-        # (isolated vertices of different components are open twins too);
-        # true twins' images must form a clique, false twins' are unconstrained
-        twins = () if is_clique else tuple(
-            c for c in classes if c[2] & ~vmask == 0
-        )
         comps.append(
-            _Component(vs, vmask, size, edges, is_clique, min_deg, twins, seed_groups)
+            _Component(
+                vs, size, edges, is_clique,
+                min((degs[v] for v in vs), default=0),
+                twins,
+                tuple((k, tuple(groups[k])) for k in sorted(groups)),
+                plan,
+            )
         )
     comps.sort(
         key=lambda c: (
@@ -177,28 +304,48 @@ class _HostView:
         return self._twins
 
 
-def _iter_sets(cand: int, need: int, mutual_adj, twins, min_next: int = 0):
+def _iter_sets(cand: int, need: int, mutual_adj, twins):
     """Ascending ``need``-subsets of the candidate mask; with ``mutual_adj``
     (host adjacency) the chosen vertices must be pairwise adjacent.
 
     After a smallest element v is exhausted, its host twins are skipped at
     that position: any set led by a twin is the image of a set led by v
     under a host automorphism.
+
+    Position k of the set keeps its candidate mask ``cands[k]`` (the
+    common neighbors of the earlier choices) and the part of it still to
+    try, ``left[k]``, on explicit stacks.
     """
     if need == 0:
         yield []
         return
-    mask = cand >> min_next << min_next
-    while mask:
+    chosen: list[int] = []
+    cands = [cand]
+    left = [cand]
+    while left:
+        k = len(chosen)
+        mask = left[k]
+        c = cands[k]
         low = mask & -mask
         v = low.bit_length() - 1
-        mask ^= low
-        if (cand >> v).bit_count() < need:
-            break
-        nxt = cand & mutual_adj[v] if mutual_adj is not None else cand
-        for rest in _iter_sets(nxt, need - 1, mutual_adj, twins, v + 1):
-            yield [v] + rest
-        mask &= ~twins[v]
+        if not mask or (c >> v).bit_count() < need - k:
+            # position k is exhausted: back up and skip the twins of the
+            # element it extended
+            left.pop()
+            cands.pop()
+            if chosen:
+                v = chosen.pop()
+                left[k - 1] &= ~twins[v]
+            continue
+        if k + 1 == need:
+            left[k] = mask & ~low & ~twins[v]
+            yield chosen + [v]
+            continue
+        left[k] = mask ^ low
+        chosen.append(v)
+        nxt = c & mutual_adj[v] if mutual_adj is not None else c
+        cands.append(nxt)
+        left.append(nxt >> (v + 1) << (v + 1))
 
 
 def _adjacency_core(cand: int, k: int, adj) -> int:
@@ -218,20 +365,20 @@ def _adjacency_core(cand: int, k: int, adj) -> int:
         cand &= ~drop
 
 
-def _iter_clique_embeddings(comp, hv, used, fixed):
+def _iter_clique_embeddings(comp, hv, used, images):
     """(mapping, image mask) for a clique component: host cliques through
-    the fixed vertices, enumerated ascending; pattern symmetry makes each
-    host clique a single visit."""
-    need = comp.size - len(fixed)
+    ``images``, the host vertices of the first pattern vertices, enumerated
+    ascending; pattern symmetry makes each host clique a single visit."""
+    need = comp.size - len(images)
     cand = hv.full & ~used & hv.degmask(comp.size - 1)
     base = 0
-    for x in fixed.values():
+    for x in images:
         base |= 1 << x
         cand &= hv.adj[x]
     cand &= ~base
-    free_pat = [v for v in comp.verts if v not in fixed]
+    free_pat = comp.verts[len(images):]
     for chosen in _iter_sets(cand, need, hv.adj, hv.twins):
-        mapping = dict(fixed)
+        mapping = dict(zip(comp.verts, images))
         mask = base
         for pv, x in zip(free_pat, chosen):
             mapping[pv] = x
@@ -239,8 +386,9 @@ def _iter_clique_embeddings(comp, hv, used, fixed):
         yield mapping, mask
 
 
-def _iter_generic_embeddings(comp, info, hv, used, fixed):
-    """Backtracking enumeration of embeddings of one non-clique component.
+def _iter_generic_embeddings(plan, info, hv, used, images):
+    """Backtracking enumeration of embeddings of one non-clique component,
+    with ``plan.anchors`` pinned to ``images``.
 
     Phase 1 places the structurally distinct vertices one by one with
     forward checking: every unplaced vertex keeps a live candidate mask,
@@ -250,160 +398,161 @@ def _iter_generic_embeddings(comp, info, hv, used, fixed):
     the later one fills (twin neighborhoods meet a class all-or-nothing,
     so no pair is missed).
     """
-    degs = info.degrees
     padj = info.adj
-    classes = []
-    for is_true, members, cmask, outside in comp.twin_classes:
-        to_fill = tuple(m for m in members if m not in fixed)
-        if len(to_fill) >= 2:
-            classes.append((is_true, members, cmask, outside, to_fill))
-    deferred = 0
-    for _, _, _, _, fill in classes:
-        for m in fill:
-            deferred |= 1 << m
+    hadj = hv.adj
     # anchored pattern edges must already sit on host edges
-    anchors = list(fixed)
-    for i, a in enumerate(anchors):
-        for b in anchors[i + 1 :]:
-            if padj[a] >> b & 1 and not hv.adj[fixed[a]] >> fixed[b] & 1:
-                return
-    mapping = dict(fixed)
+    for i, j in plan.anchor_edges:
+        if not hadj[images[i]] >> images[j] & 1:
+            return
     img0 = 0
-    for x in fixed.values():
+    for x in images:
         img0 |= 1 << x
-    free = [
-        v for v in comp.verts if v not in fixed and not deferred >> v & 1
-    ]
-    class_needs = [len(fill) for _, _, _, _, fill in classes]
+    avail = hv.full & ~used & ~img0
+    degmask = hv.degmask
     masks = []
-    for w in free:
-        m = hv.full & ~used & ~img0 & hv.degmask(degs[w])
-        for a in anchors:
-            if padj[w] >> a & 1:
-                m &= hv.adj[fixed[a]]
+    for d, adjacent in zip(plan.free_degs, plan.free_anchors):
+        m = avail & degmask(d)
+        for i in adjacent:
+            m &= hadj[images[i]]
         if m == 0:
             return
         masks.append(m)
     # live candidate masks for the deferred classes, pruned alongside
+    classes = plan.classes
+    class_needs = plan.class_needs
     cmasks = []
-    for ci, (is_true, members, cmask, outside, to_fill) in enumerate(classes):
-        m = hv.full & ~used & ~img0 & hv.degmask(degs[to_fill[0]])
-        for a in anchors:
-            if outside >> a & 1 or (is_true and cmask >> a & 1):
-                m &= hv.adj[fixed[a]]
+    for ci, (is_true, _, _, _) in enumerate(classes):
+        m = avail & degmask(plan.class_degs[ci])
+        for i in plan.class_anchors[ci]:
+            m &= hadj[images[i]]
         if is_true:
-            m = _adjacency_core(m, class_needs[ci] - 1, hv.adj)
+            m = _adjacency_core(m, class_needs[ci] - 1, hadj)
         if m.bit_count() < class_needs[ci]:
             return
         cmasks.append(m)
+    class_total = sum(class_needs)
+    # feasibility: every unplaced vertex lands somewhere in the union of
+    # the live masks
+    union = 0
+    for m in masks:
+        union |= m
+    for m in cmasks:
+        union |= m
+    if union.bit_count() < len(masks) + class_total:
+        return
+    mapping = dict(zip(plan.anchors, images))
 
-    def feasible(free_masks, class_masks) -> bool:
-        # every remaining vertex lands somewhere in the union of live masks
-        union = 0
-        for m in free_masks:
-            union |= m
-        for m in class_masks:
-            union |= m
-        return union.bit_count() >= len(free_masks) + sum(class_needs)
+    # A search node is (free vertices, their masks, class masks, image
+    # mask, next class). Each generator below yields the children of one
+    # node, holding the child's assignment in ``mapping`` while it is
+    # explored; the loop at the end drives them depth first.
 
-    def fill_classes(ci: int, img_mask: int, cmasks_now):
-        if ci == len(classes):
-            yield dict(mapping), img_mask
-            return
-        is_true, members, cmask, outside, to_fill = classes[ci]
+    def fill_children(ci: int, img_mask: int, cmasks_now):
+        is_true, cmask, _, to_fill = classes[ci]
         need = class_needs[ci]
         cand = cmasks_now[0]
         if is_true:
-            cand = _adjacency_core(cand, need - 1, hv.adj)
+            cand = _adjacency_core(cand, need - 1, hadj)
             if cand.bit_count() < need:
                 return
-        for chosen in _iter_sets(cand, need, hv.adj if is_true else None, hv.twins):
+        for chosen in _iter_sets(cand, need, hadj if is_true else None, hv.twins):
             add_mask = 0
             for pv, x in zip(to_fill, chosen):
                 mapping[pv] = x
                 add_mask |= 1 << x
             rest_masks = []
-            ok = True
             for cj in range(ci + 1, len(classes)):
                 m = cmasks_now[cj - ci] & ~add_mask
                 # twin neighborhoods meet a class all-or-nothing
-                if classes[cj][3] & cmask:
+                if classes[cj][2] & cmask:
                     for x in chosen:
-                        m &= hv.adj[x]
+                        m &= hadj[x]
                 if m.bit_count() < class_needs[cj]:
-                    ok = False
                     break
                 rest_masks.append(m)
-            if ok:
-                yield from fill_classes(ci + 1, img_mask | add_mask, rest_masks)
+            else:
+                yield (), (), rest_masks, img_mask | add_mask, ci + 1
             for pv in to_fill:
                 del mapping[pv]
 
-    def extend(free_now, masks_now, cmasks_now, img_mask: int):
-        if not free_now:
-            yield from fill_classes(0, img_mask, cmasks_now)
-            return
-        # branch on the scarcest candidate mask
-        besti = min(
-            range(len(free_now)),
-            key=lambda i: (masks_now[i].bit_count(), free_now[i]),
-        )
+    def place_children(free_now, masks_now, cmasks_now, img_mask: int):
+        # branch on the scarcest candidate mask; free_now ascends, so the
+        # first scarcest one has the smallest vertex
+        besti = 0
+        best = masks_now[0].bit_count()
+        for i in range(1, len(free_now)):
+            c = masks_now[i].bit_count()
+            if c < best:
+                besti, best = i, c
         v = free_now[besti]
         sub_free = free_now[:besti] + free_now[besti + 1 :]
+        pv = padj[v]
+        rest = [(m, pv >> w & 1) for m, w in zip(masks_now, free_now)]
+        del rest[besti]
+        crest = [
+            (m, c[2] >> v & 1, need)
+            for m, c, need in zip(cmasks_now, classes, class_needs)
+        ]
+        total = len(rest) + class_total
+        twins = hv.twins
         cand = masks_now[besti]
         while cand:
             low = cand & -cand
             x = low.bit_length() - 1
             # a failing candidate dooms its host twins identically
             cand ^= low
-            cand &= ~hv.twins[x]
+            cand &= ~twins[x]
+            keep = ~low
+            xadj = hadj[x]
+            union = 0
             sub_masks = []
-            ok = True
-            for i, w in enumerate(free_now):
-                if i == besti:
-                    continue
-                m = masks_now[i] & ~low
-                if padj[v] >> w & 1:
-                    m &= hv.adj[x]
-                if m == 0:
-                    ok = False
+            for m, adjacent in rest:
+                m &= keep
+                if adjacent:
+                    m &= xadj
+                if not m:
                     break
+                union |= m
                 sub_masks.append(m)
-            if ok:
+            else:
                 sub_cmasks = []
-                for ci, (is_true, members, cmask, outside, to_fill) in enumerate(
-                    classes
-                ):
-                    m = cmasks_now[ci] & ~low
-                    if outside >> v & 1:
-                        m &= hv.adj[x]
-                    if m.bit_count() < class_needs[ci]:
-                        ok = False
+                for m, adjacent, need in crest:
+                    m &= keep
+                    if adjacent:
+                        m &= xadj
+                    if m.bit_count() < need:
                         break
+                    union |= m
                     sub_cmasks.append(m)
-            if ok and not feasible(sub_masks, sub_cmasks):
-                ok = False
-            if not ok:
-                continue
-            mapping[v] = x
-            yield from extend(sub_free, sub_masks, sub_cmasks, img_mask | low)
-            del mapping[v]
+                else:
+                    if union.bit_count() >= total:
+                        mapping[v] = x
+                        yield sub_free, sub_masks, sub_cmasks, img_mask | low, 0
+                        del mapping[v]
 
-    if not feasible(masks, cmasks):
-        return
-    yield from extend(free, masks, cmasks, img0)
+    frames = []
+    node = (plan.free, masks, cmasks, img0, 0)
+    while True:
+        free_now, masks_now, cmasks_now, img_mask, ci = node
+        if free_now:
+            frames.append(place_children(free_now, masks_now, cmasks_now, img_mask))
+        elif ci < len(classes):
+            frames.append(fill_children(ci, img_mask, cmasks_now))
+        else:
+            yield dict(mapping), img_mask
+        while frames:
+            node = next(frames[-1], None)
+            if node is not None:
+                break
+            frames.pop()
+        else:
+            return
 
 
-def _iter_component(comp, info, hv, used, fixed):
-    # pool feasibility: the component needs comp.size unused vertices whose
-    # host degree can support its least-demanding vertex
-    pool = hv.full & ~used & hv.degmask(comp.min_deg)
-    if pool.bit_count() < comp.size:
-        return
-    if comp.is_clique:
-        yield from _iter_clique_embeddings(comp, hv, used, fixed)
-    else:
-        yield from _iter_generic_embeddings(comp, info, hv, used, fixed)
+def _pool_fits(comp, hv, used) -> bool:
+    # the component needs comp.size unused vertices whose host degree can
+    # support its least-demanding vertex
+    return (hv.full & ~used & hv.degmask(comp.min_deg)).bit_count() >= comp.size
 
 
 def _embed_rest(comps, info, hv, used):
@@ -411,20 +560,44 @@ def _embed_rest(comps, info, hv, used):
 
     Backtracks jointly across components, but only over distinct image
     sets: whether the remaining components fit depends on the head
-    component's image as a set, never on which mapping realized it.
+    component's image as a set, never on which mapping realized it. The
+    backtracking keeps one frame per placed component on an explicit
+    stack, so the number of components is not bounded by recursion depth.
     """
     if not comps:
         return {}
-    head, tail = comps[0], comps[1:]
-    seen: set[int] = set()
-    for mapping, mask in _iter_component(head, info, hv, used, {}):
-        if mask in seen:
+    # frame k: [embeddings of comps[k], image sets seen, vertices used by
+    # comps[:k], current mapping of comps[k]]
+    frames = []
+
+    def push(used_now):
+        comp = comps[len(frames)]
+        if not _pool_fits(comp, hv, used_now):
+            it = iter(())
+        elif comp.is_clique:
+            it = _iter_clique_embeddings(comp, hv, used_now, ())
+        else:
+            it = _iter_generic_embeddings(comp.plan, info, hv, used_now, ())
+        frames.append([it, set(), used_now, None])
+
+    push(used)
+    while frames:
+        frame = frames[-1]
+        it, seen, used_now, _ = frame
+        for mapping, mask in it:
+            if mask not in seen:
+                seen.add(mask)
+                break
+        else:
+            frames.pop()
             continue
-        seen.add(mask)
-        rest = _embed_rest(tail, info, hv, used | mask)
-        if rest is not None:
-            rest.update(mapping)
-            return rest
+        frame[3] = mapping
+        if len(frames) == len(comps):
+            out = {}
+            for f in frames:
+                out.update(f[3])
+            return out
+        push(used_now | mask)
     return None
 
 
@@ -436,8 +609,8 @@ def find_new_copy(
 
     The forced edge is assigned to each pattern component in turn
     (components in decreasing size), seeding the backtracking at each
-    degree-feasible pattern edge of that component; the remaining
-    components are embedded disjointly around the seeded one.
+    degree-feasible pattern edge of that component, one per twin orbit;
+    the remaining components are embedded disjointly around the seeded one.
     """
     u, v = forced_edge
     if u > v:
@@ -449,21 +622,24 @@ def find_new_copy(
     info = _pattern_info(pattern)
     hv = _HostView(host)
     du, dv = hv.deg[u], hv.deg[v]
+    images = (u, v)
     for ci, comp in enumerate(info.components):
-        others = None
+        if not comp.seed_groups or not _pool_fits(comp, hv, 0):
+            continue
+        others = tuple(c for j, c in enumerate(info.components) if j != ci)
         # distinct forced-component images tried once across all seeds: the
         # fit of the other components depends only on the image set
         seen: set[int] = set()
         for (da, db), seeds in comp.seed_groups:
             if da > du or db > dv:
                 continue
-            for a, b in seeds:
-                fixed = {a: u, b: v}
-                if others is None:
-                    others = tuple(
-                        c for j, c in enumerate(info.components) if j != ci
-                    )
-                for mapping, mask in _iter_component(comp, info, hv, 0, fixed):
+            for seed in seeds:
+                if comp.is_clique:
+                    found = _iter_clique_embeddings(comp, hv, 0, images)
+                else:
+                    plan = comp.seed_plans.get(seed) or _seed_plan(info, comp, seed)
+                    found = _iter_generic_embeddings(plan, info, hv, 0, images)
+                for mapping, mask in found:
                     if mask in seen:
                         continue
                     seen.add(mask)

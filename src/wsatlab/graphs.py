@@ -79,7 +79,7 @@ class Graph:
     @property
     def degrees(self) -> tuple[int, ...]:
         if self._degrees is None:
-            self._degrees = tuple(m.bit_count() for m in self._adj)
+            self._degrees = tuple(map(int.bit_count, self._adj))
         return self._degrees
 
     def degree(self, v: int) -> int:

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wsatlab.embedding import find_any_embedding, find_new_copy
+from wsatlab.embedding import _pattern_info, find_any_embedding, find_new_copy
 from wsatlab.graphs import (
     Graph,
     circulant,
@@ -12,6 +13,7 @@ from wsatlab.graphs import (
     disjoint_union,
     path_graph,
     star_graph,
+    twin_classes,
 )
 
 
@@ -130,3 +132,85 @@ def test_find_any_embedding():
     assert find_any_embedding(complete_graph(4), cycle_graph(6)) is None
     empty = find_any_embedding(Graph(0), complete_graph(2))
     assert empty is not None and empty.mapping == ()
+
+
+def test_large_patterns_need_no_recursion():
+    # 1200 disjoint edges: one backtracking frame per component
+    matching = Graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    emb = find_new_copy(matching, matching, (0, 1))
+    assert emb is not None and emb.is_valid() and emb.contains_edge((0, 1))
+    emb = find_any_embedding(matching, matching)
+    assert emb is not None and emb.is_valid()
+    # 1100 leaves: one twin class, filled as a set one member per step
+    star = star_graph(1101)
+    emb = find_new_copy(star, star, (0, 1))
+    assert emb is not None and emb.is_valid() and emb.contains_edge((0, 1))
+    emb = find_any_embedding(star, star)
+    assert emb is not None and emb.is_valid()
+    # 1100 vertices without twins: one search node per placed vertex
+    path = path_graph(1100)
+    emb = find_new_copy(path, path, (0, 1))
+    assert emb is not None and emb.is_valid() and emb.contains_edge((0, 1))
+    emb = find_any_embedding(path, path)
+    assert emb is not None and emb.is_valid()
+
+
+@st.composite
+def small_patterns(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def swap_taking(classes, pairs):
+    """Permutation that maps each class to itself and each a to x for the
+    given (a, x) pairs, or None if no such permutation exists."""
+    perm = {}
+    for members in classes:
+        inside = [(a, x) for a, x in pairs if a in members]
+        if any(x not in members for _, x in inside):
+            return None
+        sources = [a for a, _ in inside]
+        targets = [x for _, x in inside]
+        if len(set(sources)) != len(inside) or len(set(targets)) != len(inside):
+            return None
+        rest_a = [m for m in members if m not in sources]
+        rest_x = [m for m in members if m not in targets]
+        perm.update(zip(sources + rest_a, targets + rest_x))
+    for a, x in pairs:
+        if perm.get(a, a) != x:
+            return None
+    return perm
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_patterns())
+def test_seeds_cover_every_edge_by_an_earlier_twin_swap(pattern):
+    degs = pattern.degrees
+    edges = pattern.edges
+    for comp in _pattern_info(pattern).components:
+        if comp.is_clique:
+            continue
+        classes = [m for _, m in twin_classes(pattern) if set(m) <= set(comp.verts)]
+        directed = [s for u, v in comp.edges for s in ((u, v), (v, u))]
+        directed.sort(key=lambda s: (degs[s[0]], degs[s[1]]))
+        position = {s: i for i, s in enumerate(directed)}
+        kept = [(group, s) for group, seeds in comp.seed_groups for s in seeds]
+        # kept seeds are tried in the order of all directed edges
+        assert [position[s] for _, s in kept] == sorted(position[s] for _, s in kept)
+        for (x, y) in directed:
+            covering = []
+            for group, (a, b) in kept:
+                perm = swap_taking(classes, [(a, x), (b, y)])
+                if perm is None:
+                    continue
+                assert group == (degs[x], degs[y])
+                assert position[a, b] <= position[x, y]
+                moved = {
+                    tuple(sorted((perm.get(u, u), perm.get(v, v)))) for u, v in edges
+                }
+                assert moved == edges
+                covering.append((a, b))
+            # exactly one kept seed per orbit
+            assert len(covering) == 1

@@ -247,3 +247,29 @@ def test_part_density():
     assert part_density([1, 2, 3], 0) == 0
     with pytest.raises(ValueError):
         part_density([], 1)
+
+
+@pytest.mark.parametrize(
+    "small, big, i, calls, hits",
+    [(3, 3, 1, 335, 7), (3, 3, 2, 348, 145), (4, 4, 1, 447, 7)],
+)
+def test_closure_probes_each_non_edge_once(small, big, i, calls, hits, monkeypatch):
+    # the rescan schedule: one find_new_copy call per probed non-edge, a
+    # hit per added edge; the benchmark's traced baseline pins the same
+    # counts on the full-size counterexample host
+    from wsatlab import percolation
+    from wsatlab.constructions import counterexample_15_7, counterexample_host
+
+    probes = []
+    find = percolation.find_new_copy
+
+    def counting(pattern, host, forced_edge):
+        emb = find(pattern, host, forced_edge)
+        probes.append(emb is not None)
+        return emb
+
+    monkeypatch.setattr(percolation, "find_new_copy", counting)
+    pattern = counterexample_15_7(clique_small=small, clique_big=big).graph
+    tr = closure(counterexample_host(i, clique_small=small, clique_big=big), pattern)
+    assert (len(probes), sum(probes)) == (calls, hits)
+    assert len(tr.steps) == hits
