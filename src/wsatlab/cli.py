@@ -2,8 +2,11 @@
 
 Every subcommand parses its inputs, runs the exact computation, and emits a
 JSON report to stdout (or --out). Exact rationals appear as "p/q" strings.
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 budget or
-cap exhausted.
+Only the commands that sample, construct and expander sample, take --seed;
+it falls back to the WSATLAB_SEED environment variable, then to 0.
+Exit codes: 0 success; 1 usage error, malformed input, or a file that cannot
+be read or written, with nothing on stdout and one "error: " line on stderr;
+2 verification failure; 3 budget or cap exhausted.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExceededError, CapExceededError, WsatlabError
+from .errors import (BudgetExceededError, CapExceededError, InfeasibleParamsError,
+                     ParameterRangeError, WsatlabError)
 from .expander import (
     evaluate_condition,
     best_eta,
@@ -51,9 +55,9 @@ USAGE_ERROR, VERIFY_ERROR, BUDGET_ERROR = 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # a parse error leaves by main's one error exit, with argparse's message
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise WsatlabError(message)
 
 
 def _fraction(text: str) -> Fraction:
@@ -74,183 +78,68 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="wsatlab", description=__doc__)
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", help="write the JSON report to this path")
-        sp.add_argument("--seed", type=int, default=None)
-
-    g = sub.add_parser("gamma", help="exact minimum of (m(S)-1)/|S|")
-    g.add_argument("graph")
-    g.add_argument("--method", choices=["brute", "ratio"], default="ratio")
-    common(g)
-
-    c = sub.add_parser("closure", help="bootstrap percolation closure")
-    c.add_argument("host")
-    c.add_argument("--pattern", required=True)
-    c.add_argument("--trace", help="write the step trace JSON here")
-    common(c)
-
-    w = sub.add_parser("is-wsat", help="does the host percolate to complete?")
-    w.add_argument("host")
-    w.add_argument("--pattern", required=True)
-    common(w)
-
-    ws = sub.add_parser("wsat", help="exact weak saturation number")
-    ws.add_argument("--n", type=int, required=True)
-    ws.add_argument("--pattern", required=True)
-    ws.add_argument("--budget", type=int, default=2_000_000)
-    common(ws)
-
-    co = sub.add_parser("construct", help="pattern families with target gamma")
-    co.add_argument(
-        "--family",
-        required=True,
-        choices=["sparse", "delta3", "delta4", "high-delta", "counterexample"],
-    )
-    co.add_argument("--ratio", type=_fraction, default=None)
-    co.add_argument("--k", type=int, default=None)
-    co.add_argument("--delta", type=int, default=None)
-    co.add_argument("--clique-size", type=int, default=None)
-    co.add_argument("--expander-check", action="store_true")
-    co.add_argument("--max-attempts", type=int, default=10**4)
-    common(co)
-
-    r = sub.add_parser("rotate", help="rotate a minimum weakly saturated host")
-    r.add_argument("host")
-    r.add_argument("--pattern", required=True)
-    r.add_argument("--matching", type=int, default=0,
-                   help="index into the lexicographic A-matching list")
-    common(r)
-
-    f = sub.add_parser("ftilde", help="disjoint union of all spanning supergraphs")
-    f.add_argument("pattern")
-    f.add_argument("--pad", type=int, default=None)
-    f.add_argument("--dedup", action="store_true")
-    f.add_argument("--max-nonedges", type=int, default=14)
-    common(f)
-
-    e = sub.add_parser("expander", help="expansion condition numerics")
-    esub = e.add_subparsers(dest="expander_command", required=True)
-    et = esub.add_parser("table", help="recompute the degree-6 bound table")
-    et.add_argument("--r", type=int, default=6)
-    common(et)
-    ec = esub.add_parser("check", help="evaluate the condition at one point")
-    ec.add_argument("--alpha", type=_fraction, required=True)
-    ec.add_argument("--r", type=int, default=6)
-    ec.add_argument("--eta", type=_fraction, default=None)
-    ec.add_argument("--tol", type=_fraction, default=Fraction(1, 10**7))
-    common(ec)
-    es = esub.add_parser("sample", help="configuration-model sample")
-    es.add_argument("--r", type=int, required=True)
-    es.add_argument("--n", type=int, required=True)
-    es.add_argument("--alpha", type=_fraction, default=None,
-                    help="also report the exact isoperimetric value")
-    es.add_argument("--attempts", type=int, default=10**4)
-    common(es)
-    return p
-
-
 def _load(path: str) -> Graph:
     try:
         return read_graph_file(path)
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise WsatlabError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _run(args) -> tuple[dict, int]:
-    cmd = args.command
-    if cmd == "gamma":
-        g = _load(args.graph)
-        res = gamma_min_brute(g) if args.method == "brute" else gamma_min_ratio(g)
-        return res.as_report(), 0
-
-    if cmd == "closure":
-        host, pattern = _load(args.host), _load(args.pattern)
-        tr = closure(host, pattern)
-        if args.trace:
-            with open(args.trace, "w", encoding="ascii") as fh:
-                fh.write(tr.to_json())
-        return {
-            "steps": len(tr.steps),
-            "complete": tr.is_complete(),
-            "closure": graph_to_graph6(tr.terminal()),
-        }, 0
-
-    if cmd == "is-wsat":
-        host, pattern = _load(args.host), _load(args.pattern)
-        ok = closure(host, pattern).is_complete()
-        return {"weakly_saturated": ok}, 0 if ok else VERIFY_ERROR
-
-    if cmd == "wsat":
-        pattern = _load(args.pattern)
-        res = wsat_exact(args.n, pattern, budget=args.budget)
-        return res.as_report(), 0
-
-    if cmd == "construct":
-        return _run_construct(args)
-
-    if cmd == "rotate":
-        host, pattern = _load(args.host), _load(args.pattern)
-        tr = closure(host, pattern)
-        ap = activation_partition(tr)
-        total = count_a_matchings(ap)
-        if not 0 <= args.matching < total:
-            print(f"matching index out of range [0, {total})", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        m = a_matching(ap, args.matching)
-        rotated = rotate(ap, m)
-        return {
-            "parts": len(ap.parts),
-            "matchings": total,
-            "matching_index": args.matching,
-            "removed": [list(e) for e in m],
-            "rotation": graph_to_graph6(rotated),
-            "edge_count": rotated.num_edges,
-        }, 0
-
-    if cmd == "ftilde":
-        f = _load(args.pattern)
-        ft = build_f_tilde(
-            f, clique_pad=args.pad, dedup=args.dedup,
-            max_nonedges=args.max_nonedges,
-        )
-        return {
-            "vertices": ft.n,
-            "edges": ft.num_edges,
-            "dedup": args.dedup,
-            "semantics": "isomorphism-reduced" if args.dedup else "literal",
-            "graph": graph_to_graph6(ft),
-        }, 0
-
-    if cmd == "expander":
-        return _run_expander(args)
-
-    raise AssertionError(f"unhandled command {cmd}")
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WsatlabError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _run_construct(args) -> tuple[dict, int]:
+# -- one handler per subcommand: args -> (results, exit code) -----------------
+
+
+def _gamma(args) -> tuple[dict, int]:
+    g = _load(args.graph)
+    res = gamma_min_brute(g) if args.method == "brute" else gamma_min_ratio(g)
+    return res.as_report(), 0
+
+
+def _closure(args) -> tuple[dict, int]:
+    tr = closure(_load(args.host), _load(args.pattern))
+    if args.trace:
+        _write(args.trace, tr.to_json())
+    return {
+        "steps": len(tr.steps),
+        "complete": tr.is_complete(),
+        "closure": graph_to_graph6(tr.terminal()),
+    }, 0
+
+
+def _is_wsat(args) -> tuple[dict, int]:
+    ok = closure(_load(args.host), _load(args.pattern)).is_complete()
+    return {"weakly_saturated": ok}, 0 if ok else VERIFY_ERROR
+
+
+def _wsat(args) -> tuple[dict, int]:
+    res = wsat_exact(args.n, _load(args.pattern), budget=args.budget)
+    return res.as_report(), 0
+
+
+# the options each construction family requires
+_FAMILY_NEEDS = {"sparse": ("delta", "k"), "delta3": ("ratio",), "delta4": ("ratio",),
+                 "high-delta": ("delta", "ratio", "k"), "counterexample": ()}
+
+
+def _construct(args) -> tuple[dict, int]:
     fam = args.family
+    missing = [f"--{o}" for o in _FAMILY_NEEDS[fam] if getattr(args, o) is None]
+    if missing:
+        raise InfeasibleParamsError(f"{fam} needs {', '.join(missing)}")
     if fam == "sparse":
-        if args.delta is None or args.k is None:
-            print("sparse needs --delta and --k", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
         con = sparse_family(args.delta, args.k)
     elif fam in ("delta3", "delta4"):
-        if args.ratio is None:
-            print(f"{fam} needs --ratio", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
         params = solve_params(3 if fam == "delta3" else 4, args.ratio, args.k)
         builder = build_delta3 if fam == "delta3" else build_delta4
         con = builder(params, clique_size=args.clique_size)
     elif fam == "high-delta":
-        if args.delta is None or args.ratio is None or args.k is None:
-            print("high-delta needs --delta, --ratio, --k", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
         con = build_high_delta(
             args.delta, args.ratio, args.k, seed=_seed(args),
             expander_check=args.expander_check,
@@ -259,36 +148,69 @@ def _run_construct(args) -> tuple[dict, int]:
         )
     else:
         con = counterexample_15_7(
-            clique_big=args.clique_size if args.clique_size else 100
+            clique_big=100 if args.clique_size is None else args.clique_size
         )
     return con.as_report(), 0
 
 
-def _run_expander(args) -> tuple[dict, int]:
-    sub = args.expander_command
-    if sub == "table":
-        rep = verify_table(args.r)
-        return rep, 0 if rep["all_pass"] else VERIFY_ERROR
-    if sub == "check":
-        if args.eta is not None:
-            cv = evaluate_condition(args.alpha, args.r, args.eta)
-            return {
-                "alpha": str(cv.alpha),
-                "r": cv.r,
-                "eta": str(cv.eta),
-                "lhs": [cv.lhs_inf, cv.lhs_sup],
-                "rhs": [cv.rhs_inf, cv.rhs_sup],
-                "satisfied": cv.satisfied,
-            }, 0
-        eta, expansion = best_eta(args.alpha, args.r, args.tol)
+def _rotate(args) -> tuple[dict, int]:
+    ap = activation_partition(closure(_load(args.host), _load(args.pattern)))
+    total = count_a_matchings(ap)
+    if not 0 <= args.matching < total:
+        raise ParameterRangeError(f"matching index out of range [0, {total})")
+    m = a_matching(ap, args.matching)
+    rotated = rotate(ap, m)
+    return {
+        "parts": len(ap.parts),
+        "matchings": total,
+        "matching_index": args.matching,
+        "removed": [list(e) for e in m],
+        "rotation": graph_to_graph6(rotated),
+        "edge_count": rotated.num_edges,
+    }, 0
+
+
+def _ftilde(args) -> tuple[dict, int]:
+    ft = build_f_tilde(
+        _load(args.pattern), clique_pad=args.pad, dedup=args.dedup,
+        max_nonedges=args.max_nonedges,
+    )
+    return {
+        "vertices": ft.n,
+        "edges": ft.num_edges,
+        "dedup": args.dedup,
+        "semantics": "isomorphism-reduced" if args.dedup else "literal",
+        "graph": graph_to_graph6(ft),
+    }, 0
+
+
+def _expander_table(args) -> tuple[dict, int]:
+    rep = verify_table()
+    return rep, 0 if rep["all_pass"] else VERIFY_ERROR
+
+
+def _expander_check(args) -> tuple[dict, int]:
+    if args.eta is not None:
+        cv = evaluate_condition(args.alpha, args.r, args.eta)
         return {
-            "alpha": str(args.alpha),
-            "r": args.r,
-            "best_eta": str(eta),
-            "guaranteed_expansion": str(expansion),
-            "expansion_float": float(expansion),
+            "alpha": str(cv.alpha),
+            "r": cv.r,
+            "eta": str(cv.eta),
+            "lhs": [cv.lhs_inf, cv.lhs_sup],
+            "rhs": [cv.rhs_inf, cv.rhs_sup],
+            "satisfied": cv.satisfied,
         }, 0
-    # sample
+    eta, expansion = best_eta(args.alpha, args.r, args.tol)
+    return {
+        "alpha": str(args.alpha),
+        "r": args.r,
+        "best_eta": str(eta),
+        "guaranteed_expansion": str(expansion),
+        "expansion_float": float(expansion),
+    }, 0
+
+
+def _expander_sample(args) -> tuple[dict, int]:
     seed = _seed(args)
     g, attempts = sample_random_regular(args.r, args.n, seed, args.attempts)
     rep = {
@@ -305,12 +227,82 @@ def _run_expander(args) -> tuple[dict, int]:
     return rep, 0
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="wsatlab", description=__doc__)
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def command(parent, name, run, help, samples=False):
+        sp = parent.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument("--out", help="write the JSON report to this path")
+        if samples:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="sampler seed (default: $WSATLAB_SEED, else 0)")
+        return sp
+
+    g = command(sub, "gamma", _gamma, "exact minimum of (m(S)-1)/|S|")
+    g.add_argument("graph")
+    g.add_argument("--method", choices=["brute", "ratio"], default="ratio")
+
+    c = command(sub, "closure", _closure, "bootstrap percolation closure")
+    c.add_argument("host")
+    c.add_argument("--pattern", required=True)
+    c.add_argument("--trace", help="write the step trace JSON here")
+
+    w = command(sub, "is-wsat", _is_wsat, "does the host percolate to complete?")
+    w.add_argument("host")
+    w.add_argument("--pattern", required=True)
+
+    ws = command(sub, "wsat", _wsat, "exact weak saturation number")
+    ws.add_argument("--n", type=int, required=True)
+    ws.add_argument("--pattern", required=True)
+    ws.add_argument("--budget", type=int, default=2_000_000)
+
+    co = command(sub, "construct", _construct, "pattern families with target gamma",
+                 samples=True)
+    co.add_argument("--family", required=True, choices=list(_FAMILY_NEEDS))
+    co.add_argument("--ratio", type=_fraction, default=None)
+    co.add_argument("--k", type=int, default=None)
+    co.add_argument("--delta", type=int, default=None)
+    co.add_argument("--clique-size", type=int, default=None)
+    co.add_argument("--expander-check", action="store_true")
+    co.add_argument("--max-attempts", type=int, default=10**4)
+
+    r = command(sub, "rotate", _rotate, "rotate a minimum weakly saturated host")
+    r.add_argument("host")
+    r.add_argument("--pattern", required=True)
+    r.add_argument("--matching", type=int, default=0,
+                   help="index into the lexicographic A-matching list")
+
+    f = command(sub, "ftilde", _ftilde, "disjoint union of all spanning supergraphs")
+    f.add_argument("pattern")
+    f.add_argument("--pad", type=int, default=None)
+    f.add_argument("--dedup", action="store_true")
+    f.add_argument("--max-nonedges", type=int, default=14)
+
+    e = sub.add_parser("expander", help="expansion condition numerics")
+    esub = e.add_subparsers(dest="expander_command", required=True)
+    command(esub, "table", _expander_table, "recompute the degree-6 bound table")
+    ec = command(esub, "check", _expander_check, "evaluate the condition at one point")
+    ec.add_argument("--alpha", type=_fraction, required=True)
+    ec.add_argument("--r", type=int, default=6)
+    ec.add_argument("--eta", type=_fraction, default=None)
+    ec.add_argument("--tol", type=_fraction, default=Fraction(1, 10**7))
+    es = command(esub, "sample", _expander_sample, "configuration-model sample",
+                 samples=True)
+    es.add_argument("--r", type=int, required=True)
+    es.add_argument("--n", type=int, required=True)
+    es.add_argument("--alpha", type=_fraction, default=None,
+                    help="also report the exact isoperimetric value")
+    es.add_argument("--attempts", type=int, default=10**4)
+    return p
+
+
+def _report(args) -> tuple[str, int]:
     started = time.perf_counter()
     try:
-        results, code = _run(args)
+        results, code = args.run(args)
     except (BudgetExceededError, CapExceededError) as exc:
         results, code = {
             "error": type(exc).__name__,
@@ -318,27 +310,33 @@ def main(argv=None) -> int:
             "inconclusive": True,
             "partial": getattr(exc, "partial", None),
         }, BUDGET_ERROR
-    except WsatlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     report = {
         "command": args.command,
         "inputs": {
             k: (str(v) if isinstance(v, Fraction) else v)
             for k, v in sorted(vars(args).items())
-            if k not in ("command", "out") and v is not None
+            if k not in ("command", "out", "run") and v is not None
         },
         "results": results,
         "provenance": {"version": __version__, "seed": getattr(args, "seed", None)},
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
     }
-    text = json.dumps(report, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return code
+    return json.dumps(report, indent=2, default=str), code
+
+
+def main(argv=None) -> int:
+    # every caller mistake leaves here: exit 1, one "error: " line
+    try:
+        args = build_parser().parse_args(argv)
+        text, code = _report(args)
+        if args.out:
+            _write(args.out, text + "\n")
+        else:
+            print(text)
+        return code
+    except WsatlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

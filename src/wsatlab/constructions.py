@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import InfeasibleParamsError
 from .expander import i_alpha_exact, sample_random_regular
-from .graphs import Graph, circulant, complete_graph, disjoint_union, subdivide
+from .graphs import (Graph, circulant, complete_graph, disjoint_union,
+                     graph_to_graph6, subdivide)
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,6 @@ class Construction:
     params: dict = field(default_factory=dict)
 
     def as_report(self) -> dict:
-        from .graphs import graph_to_graph6
-
         return {
             "family": self.family,
             "params": {
@@ -72,51 +71,49 @@ def spread_indices(total: int, count: int) -> list[int]:
     return out
 
 
+# per minimum degree: smallest k and the parity k must have
+_K_SCAN = {3: (4, 0), 4: (5, 1)}
+
+
 def solve_params(delta: int, ratio, k_min: int | None = None) -> ConstructionParams:
     """Smallest valid (k, p, t) for the subdivision constructions.
 
     Picks the unique subdivision base p whose ratio window contains the
     target, then the smallest admissible k >= k_min meeting the parity and
     congruence constraints that make t an integer in range.
+
+    With s the denominator of delta/2, a gadget on n vertices has gamma
+    a/b exactly when s*n*((delta-1)*b - a) = b*(k + s); the scan asks
+    s*((delta-1)*b - a) to divide k + s.
     """
     ratio = Fraction(ratio)
     a, b = ratio.numerator, ratio.denominator
-    if delta == 3:
-        if not Fraction(3, 2) <= ratio < 2:
-            raise InfeasibleParamsError("delta=3 needs ratio in [3/2, 2)")
-        p = 1
-        while not Fraction(6 * p - 3, 3 * p - 1) <= ratio < Fraction(6 * p + 3, 3 * p + 2):
-            p += 1
-        modulus = 4 * b - 2 * a
-        k = max(k_min or 4, 4)
-        if k % 2:
-            k += 1
-        while True:
-            if (k + 2) % modulus == 0:
-                t_num = k * ((3 * p - 1) * a - (6 * p - 3) * b) + 2 * b
-                if t_num % modulus == 0:
-                    t = t_num // modulus
-                    if 0 <= t <= 3 * k // 2:
-                        return ConstructionParams(3, ratio, k, p, t)
-            k += 2
-    elif delta == 4:
-        if not Fraction(2) <= ratio < 3:
-            raise InfeasibleParamsError("delta=4 needs ratio in [2, 3)")
-        p = 1
-        while not Fraction(6 * p - 4, 2 * p - 1) <= ratio < Fraction(6 * p + 2, 2 * p + 1):
-            p += 1
-        modulus = 3 * b - a
-        k = max(k_min or 5, 5)
-        while True:
-            if k % 2 and (k + 1) % modulus == 0:
-                t_num = k * ((2 * p - 1) * a - (6 * p - 4) * b) + b
-                if t_num % modulus == 0:
-                    t = t_num // modulus
-                    if 0 <= t <= 2 * k:
-                        return ConstructionParams(4, ratio, k, p, t)
-            k += 1
-    else:
+    if delta not in _K_SCAN:
         raise InfeasibleParamsError("solve_params handles delta 3 and 4 only")
+    half = Fraction(delta, 2)
+    if not half <= ratio < delta - 1:
+        raise InfeasibleParamsError(
+            f"delta={delta} needs ratio in [{half}, {delta - 1})"
+        )
+    s, h = half.denominator, half.numerator
+    # s*n/k and s*m/k of the base-p gadget with t = 0; its gamma tends to
+    # m_k/n_k as k grows, and the window of p ends where that of p+1 starts
+    p, n_k, m_k = 1, s, h
+    while ratio >= Fraction(m_k + (delta - 1) * h, n_k + h):
+        p, n_k, m_k = p + 1, n_k + h, m_k + (delta - 1) * h
+    modulus = s * ((delta - 1) * b - a)
+    least, parity = _K_SCAN[delta]
+    k = max(k_min or least, least)
+    if k % 2 != parity:
+        k += 1
+    while True:
+        if (k + s) % modulus == 0:
+            t_num = k * (n_k * a - m_k * b) + s * b
+            if t_num % modulus == 0:
+                t = t_num // modulus
+                if 0 <= t <= delta * k // 2:
+                    return ConstructionParams(delta, ratio, k, p, t)
+        k += 2
 
 
 def sparse_family(delta: int, k: int) -> Construction:
@@ -156,6 +153,49 @@ def _attach_pendants(
     return f
 
 
+def _pinned_subdivision(
+    params: ConstructionParams, g: Graph, first: list, second: list,
+    clique_size: int | None,
+) -> Construction:
+    """Subdivide every edge of the circulant g into p-paths, t of them into
+    (p+1)-paths: spread over the first edge class, and once that is full
+    over the second. Each internal subdivision vertex is pinned by delta-2
+    edges to its own clique vertices."""
+    delta, ratio, k, p, t = params.delta, params.ratio, params.k, params.p, params.t
+    if t <= len(first):
+        longer = {first[i] for i in spread_indices(len(first), t)}
+    else:
+        longer = set(first)
+        longer |= {second[i] for i in spread_indices(len(second), t - len(first))}
+    schedule = {e: (p + 1 if e in longer else p) for e in g.edges}
+    gp, groups = subdivide(g, schedule)
+    internal = [v for e in sorted(groups) for v in groups[e]]
+    if clique_size is None:
+        clique_size = 3 * gp.n + delta + 2
+    pins = delta - 2
+    f = _attach_pendants(gp, clique_size, [
+        (v, pins * i + j) for i, v in enumerate(internal) for j in range(pins)
+    ])
+    n = k + (p - 1) * delta * k // 2 + t
+    assert gp.n == n and len(internal) == n - k
+    # the circulant's edges plus delta-1 edges per internal vertex
+    gamma = Fraction(delta * k // 2 + (delta - 1) * (n - k) - 1, n)
+    if gamma != ratio:
+        raise InfeasibleParamsError(
+            f"t={t} does not realize gamma={ratio} (got {gamma})"
+        )
+    return Construction(
+        family=f"delta{delta}",
+        graph=f,
+        witness=tuple(range(n)),
+        predicted_gamma=gamma,
+        params={
+            "delta": delta, "ratio": ratio, "k": k, "p": p, "t": t,
+            "clique_size": clique_size,
+        },
+    )
+
+
 def build_delta3(
     params: ConstructionParams, clique_size: int | None = None
 ) -> Construction:
@@ -167,42 +207,15 @@ def build_delta3(
     their counterclockwise endpoint) get them. Every internal subdivision
     vertex is joined to its own clique vertex.
     """
-    delta, ratio, k, p, t = params.delta, params.ratio, params.k, params.p, params.t
-    if delta != 3:
+    k, p, t = params.k, params.p, params.t
+    if params.delta != 3:
         raise InfeasibleParamsError("params are not for the delta=3 family")
     if k < 4 or k % 2 or not 0 <= t <= 3 * k // 2 or p < 1:
         raise InfeasibleParamsError(f"invalid delta=3 params: k={k}, p={p}, t={t}")
-    g = circulant(k, {1, k // 2})
     long_edges = [(i, i + k // 2) for i in range(k // 2)]
     outer_edges = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
-    if t <= k // 2:
-        longer = {long_edges[i] for i in spread_indices(k // 2, t)}
-    else:
-        longer = set(long_edges)
-        longer |= {outer_edges[i] for i in spread_indices(k, t - k // 2)}
-    schedule = {e: (p + 1 if e in longer else p) for e in g.edges}
-    gp, groups = subdivide(g, schedule)
-    internal = [v for e in sorted(groups) for v in groups[e]]
-    if clique_size is None:
-        clique_size = 3 * gp.n + delta + 2
-    f = _attach_pendants(gp, clique_size, [(v, i) for i, v in enumerate(internal)])
-    expect_n = k * (3 * p - 1) // 2 + t
-    expect_m = k * (6 * p - 3) // 2 + 2 * t
-    assert gp.n == expect_n and len(internal) == expect_n - k
-    gamma = Fraction(expect_m - 1, expect_n)
-    if gamma != ratio:
-        raise InfeasibleParamsError(
-            f"t={t} does not realize gamma={ratio} (got {gamma})"
-        )
-    return Construction(
-        family="delta3",
-        graph=f,
-        witness=tuple(range(gp.n)),
-        predicted_gamma=gamma,
-        params={
-            "delta": 3, "ratio": ratio, "k": k, "p": p, "t": t,
-            "clique_size": clique_size,
-        },
+    return _pinned_subdivision(
+        params, circulant(k, {1, k // 2}), long_edges, outer_edges, clique_size
     )
 
 
@@ -217,46 +230,15 @@ def build_delta4(
     long ones. Every internal subdivision vertex gets two edges to two
     fresh clique vertices.
     """
-    delta, ratio, k, p, t = params.delta, params.ratio, params.k, params.p, params.t
-    if delta != 4:
+    k, p, t = params.k, params.p, params.t
+    if params.delta != 4:
         raise InfeasibleParamsError("params are not for the delta=4 family")
     if k < 5 or k % 2 == 0 or not 0 <= t <= 2 * k or p < 1:
         raise InfeasibleParamsError(f"invalid delta=4 params: k={k}, p={p}, t={t}")
-    g = circulant(k, {1, 2})
     short_edges = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
     long_edges = [tuple(sorted((i, (i + 2) % k))) for i in range(k)]
-    if t <= k:
-        longer = {short_edges[i] for i in spread_indices(k, t)}
-    else:
-        longer = set(short_edges)
-        longer |= {long_edges[i] for i in spread_indices(k, t - k)}
-    schedule = {e: (p + 1 if e in longer else p) for e in g.edges}
-    gp, groups = subdivide(g, schedule)
-    internal = [v for e in sorted(groups) for v in groups[e]]
-    if clique_size is None:
-        clique_size = 3 * gp.n + delta + 2
-    pendants = []
-    for i, v in enumerate(internal):
-        pendants.append((v, 2 * i))
-        pendants.append((v, 2 * i + 1))
-    f = _attach_pendants(gp, clique_size, pendants)
-    expect_n = k * (2 * p - 1) + t
-    expect_m = k * (6 * p - 4) + 3 * t
-    assert gp.n == expect_n and len(internal) == expect_n - k
-    gamma = Fraction(expect_m - 1, expect_n)
-    if gamma != ratio:
-        raise InfeasibleParamsError(
-            f"t={t} does not realize gamma={ratio} (got {gamma})"
-        )
-    return Construction(
-        family="delta4",
-        graph=f,
-        witness=tuple(range(gp.n)),
-        predicted_gamma=gamma,
-        params={
-            "delta": 4, "ratio": ratio, "k": k, "p": p, "t": t,
-            "clique_size": clique_size,
-        },
+    return _pinned_subdivision(
+        params, circulant(k, {1, 2}), short_edges, long_edges, clique_size
     )
 
 
@@ -286,6 +268,8 @@ def build_high_delta(
         raise InfeasibleParamsError("ratio must lie in [delta/2, delta/2 + 1/2]")
     if k % 2 or k % b:
         raise InfeasibleParamsError("k must be an even multiple of the denominator")
+    if k <= delta:
+        raise InfeasibleParamsError("a delta-regular gadget needs k > delta")
     t_frac = k * (ratio - Fraction(delta, 2)) + 1
     if t_frac.denominator != 1:
         raise InfeasibleParamsError("t is not an integer for these parameters")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BudgetExceededError, CapExceededError
-from .graphs import Graph, complete_graph, disjoint_union
+from .errors import BudgetExceededError, CapExceededError, ParameterRangeError
+from .graphs import Graph, complete_graph, disjoint_union, graph_to_graph6
 from .isomorphism import IsoClassRegistry
 from .mincut import MaxFlow
 from .percolation import is_weakly_saturated
@@ -80,7 +80,7 @@ def gamma_min_brute(g: Graph, cap: int = 20) -> GammaResult:
     """
     n = g.n
     if n == 0:
-        raise ValueError("gamma of the empty graph is undefined")
+        raise ParameterRangeError("gamma of the empty graph is undefined")
     if n > cap:
         raise CapExceededError(f"{n} vertices exceed the brute-force cap {cap}")
     degs = g.degrees
@@ -192,7 +192,7 @@ def gamma_min_ratio(g: Graph) -> GammaResult:
     """
     n = g.n
     if n == 0:
-        raise ValueError("gamma of the empty graph is undefined")
+        raise ParameterRangeError("gamma of the empty graph is undefined")
     for v in range(n):
         if g.degree(v) == 0:
             return GammaResult(Fraction(-1), frozenset({v}), "ratio", 0)
@@ -246,6 +246,8 @@ def build_f_tilde(
     """
     if clique_pad is None:
         clique_pad = f.n + 2
+    if clique_pad < 0:
+        raise ParameterRangeError("clique_pad must be nonnegative")
     fp = disjoint_union([f, complete_graph(clique_pad)]) if clique_pad else f
     nonedges = sorted(fp.non_edges())
     q = len(nonedges)
@@ -341,8 +343,6 @@ class WsatResult:
     nodes_explored: int = 0
 
     def as_report(self) -> dict:
-        from .graphs import graph_to_graph6
-
         return {
             "invariant": "wsat",
             "n": self.n,
@@ -363,9 +363,9 @@ def wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResult:
     appear in its first new copy.
     """
     if n < 1:
-        raise ValueError("need at least one host vertex")
+        raise ParameterRangeError("need at least one host vertex")
     if f.n == 0:
-        raise ValueError("pattern must have vertices")
+        raise ParameterRangeError("pattern must have vertices")
     delta = f.min_degree
     pairs = list(itertools.combinations(range(n), 2))
     explored = 0

@@ -384,8 +384,11 @@ def edge_list_to_graph(text: str) -> Graph:
 
 def read_graph_file(path: str) -> Graph:
     """Load a graph from a file holding either edge-list or graph6 text."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"non-ASCII byte at offset {exc.start}") from exc
     first = text.strip().splitlines()[0] if text.strip() else ""
     parts = first.split()
     if len(parts) == 2 and all(p.isdigit() for p in parts):

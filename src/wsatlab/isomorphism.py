@@ -7,6 +7,8 @@ for graphs with at most ~20 vertices.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .graphs import Graph
 
 
@@ -34,8 +36,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     n = g.n
     gdeg, hdeg = g.degrees, h.degrees
     # order g-vertices by scarcity of their degree class, then degree
-    from collections import Counter
-
     freq = Counter(gdeg)
     order = sorted(range(n), key=lambda u: (freq[gdeg[u]], -gdeg[u], u))
     mapping = [-1] * n

@@ -176,7 +176,7 @@ def test_criterion_7_f_tilde_property():
 
 def test_criterion_8_table_reproduction():
     t0 = time.time()
-    rep = verify_table(6)
+    rep = verify_table()
     elapsed = time.time() - t0
     assert rep["all_pass"]
     assert len(rep["rows"]) == 12

@@ -127,9 +127,9 @@ def test_rotate(files, capsys):
         assert res["edge_count"] == 4
         assert res["removed"] == [list(e) for e in matching]
     assert i == 11
-    with pytest.raises(SystemExit) as ei:
-        main(["rotate", files["star5"], "--pattern", files["k3"], "--matching", "99"])
-    assert ei.value.code == 1
+    assert main(
+        ["rotate", files["star5"], "--pattern", files["k3"], "--matching", "99"]
+    ) == 1
     capsys.readouterr()
 
 
@@ -162,6 +162,7 @@ def test_expander_table(capsys):
     code, rep = run(capsys, ["expander", "table"])
     assert code == 0
     assert rep["results"]["all_pass"] and len(rep["results"]["rows"]) == 12
+    assert rep["results"]["r"] == 6 and rep["inputs"] == {"expander_command": "table"}
 
 
 def test_out_file(files, capsys):
@@ -173,23 +174,58 @@ def test_out_file(files, capsys):
 
 
 def test_usage_errors(files, capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["nonsense"])
-    assert ei.value.code == 1
-    with pytest.raises(SystemExit) as ei:
-        main(["gamma", files["k3"], "--method", "magic"])
-    assert ei.value.code == 1
-    with pytest.raises(SystemExit) as ei:
-        main(["construct", "--family", "sparse"])  # missing delta/k
-    assert ei.value.code == 1
+    assert main(["nonsense"]) == 1
+    assert main(["gamma", files["k3"], "--method", "magic"]) == 1
+    assert main(["construct", "--family", "sparse"]) == 1  # missing delta/k
 
 
 def test_bad_input_exits_with_one_line(files, capsys):
-    bad_edges = files["tmp"] / "bad.txt"
+    tmp = files["tmp"]
+    bad_edges = tmp / "bad.txt"
     bad_edges.write_text("3 1\n0 5\n")  # vertex outside 0..n-1
-    for argv in (["gamma", str(bad_edges)],
-                 ["expander", "check", "--alpha", "3/4"]):
-        assert main(argv) == 1
+    (tmp / "empty.g6").write_text("?\n")  # graph6 for the 0-vertex graph
+    (tmp / "latin1.g6").write_bytes(b"C\xe9\n")
+    empty, latin1 = str(tmp / "empty.g6"), str(tmp / "latin1.g6")
+    unwritable = str(tmp / "no-such-dir" / "out.json")
+    cases = [
+        (["gamma", str(bad_edges)], "bad edge list"),
+        (["expander", "check", "--alpha", "3/4"], "alpha"),
+        (["gamma", files["k3"], "--method", "magic"], "--method"),
+        (["gamma", str(tmp / "missing.g6")], "cannot read"),
+        (["construct", "--family", "sparse"], "--delta"),
+        (["rotate", files["star5"], "--pattern", files["k3"], "--matching", "99"],
+         "out of range"),
+        (["gamma", files["k3"], "--out", unwritable], "cannot write"),
+        (["closure", files["star5"], "--pattern", files["k3"], "--trace", unwritable],
+         "cannot write"),
+        (["gamma", empty], "empty graph"),
+        (["gamma", empty, "--method", "brute"], "empty graph"),
+        (["wsat", "--n", "0", "--pattern", files["k3"]], "host vertex"),
+        (["wsat", "--n", "3", "--pattern", empty], "pattern"),
+        (["ftilde", files["c4"], "--pad", "-1"], "clique_pad"),
+        (["gamma", latin1], "non-ASCII"),
+        (["construct", "--family", "counterexample", "--clique-size", "0"], "clique"),
+        (["construct", "--family", "high-delta", "--delta", "6", "--ratio", "3",
+          "--k", "0"], "k > delta"),
+        # --seed only where the command samples; expander table has no --r
+        (["gamma", files["k3"], "--seed", "1"], "--seed"),
+        (["expander", "table", "--r", "6"], "--r"),
+    ]
+    for argv, needle in cases:
+        assert main(argv) == 1, argv
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "", argv
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err, (argv, captured.err)
+    assert not (tmp / "no-such-dir").exists()
+
+
+def test_seed_falls_back_to_environment(capsys, monkeypatch):
+    monkeypatch.setenv("WSATLAB_SEED", "4")
+    argv = ["expander", "sample", "--r", "3", "--n", "10"]
+    code, from_env = run(capsys, argv)
+    code2, explicit = run(capsys, argv + ["--seed", "4"])
+    assert code == code2 == 0
+    assert from_env["results"] == explicit["results"]
+    assert from_env["provenance"]["seed"] is None
+    assert explicit["provenance"]["seed"] == explicit["inputs"]["seed"] == 4

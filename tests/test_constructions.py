@@ -133,6 +133,9 @@ def test_high_delta():
         build_high_delta(6, Fraction(3), 15, seed=1)
     with pytest.raises(InfeasibleParamsError):
         build_high_delta(5, Fraction(3), 16, seed=1)
+    for k in (0, 6):  # no 6-regular graph on k vertices; 0 divided by zero
+        with pytest.raises(InfeasibleParamsError):
+            build_high_delta(6, Fraction(3), k, seed=1)
 
 
 def test_high_delta_t_range():

@@ -85,7 +85,7 @@ def test_expansion_monotone_in_alpha():
 
 
 def test_verify_table_passes():
-    rep = verify_table(6)
+    rep = verify_table()
     assert rep["all_pass"] and len(rep["rows"]) == 12
     for row in rep["rows"]:
         assert row["pass"]
@@ -95,7 +95,7 @@ def test_verify_table_passes():
 def test_verify_table_negative_control():
     corrupted = list(TABLE_R6)
     corrupted[3] = (Fraction("0.42"), Fraction("0.44"), Fraction("1.3"))
-    rep = verify_table(6, table=corrupted)
+    rep = verify_table(table=corrupted)
     assert not rep["all_pass"]
     assert [r["pass"] for r in rep["rows"]].count(False) == 1
 

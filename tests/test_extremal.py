@@ -11,7 +11,7 @@ from wsatlab.constructions import (
     counterexample_15_7,
     solve_params,
 )
-from wsatlab.errors import BudgetExceededError, CapExceededError
+from wsatlab.errors import BudgetExceededError, CapExceededError, ParameterRangeError
 from wsatlab.extremal import (
     build_f_tilde,
     gamma_min_brute,
@@ -386,3 +386,15 @@ def test_w_f_bounds():
     assert lo == Fraction(5, 4) and hi == 2
     lo, hi = w_f_bounds(Graph(2, [(0, 1)]))
     assert lo == 0 and hi == 0
+
+
+def test_out_of_range_arguments_raise_parameter_range_error():
+    for call in (
+        lambda: gamma_min_brute(Graph(0)),
+        lambda: gamma_min_ratio(Graph(0)),
+        lambda: wsat_exact(0, complete_graph(3)),
+        lambda: wsat_exact(3, Graph(0)),
+        lambda: build_f_tilde(cycle_graph(4), clique_pad=-1),
+    ):
+        with pytest.raises(ParameterRangeError):
+            call()

@@ -17,6 +17,7 @@ from wsatlab.graphs import (
     graph_to_edge_list,
     graph_to_graph6,
     path_graph,
+    read_graph_file,
     star_graph,
     subdivide,
     twin_classes,
@@ -204,3 +205,10 @@ def test_twin_classes_are_automorphic_and_disjoint(g):
                 assert g.adj_mask(a) | 1 << a == g.adj_mask(b) | 1 << b
             else:
                 assert g.adj_mask(a) == g.adj_mask(b)
+
+
+def test_read_graph_file_rejects_non_ascii(tmp_path):
+    path = tmp_path / "latin1.g6"
+    path.write_bytes(b"C\xe9\n")
+    with pytest.raises(GraphFormatError):
+        read_graph_file(str(path))
