@@ -4,9 +4,13 @@ Every subcommand parses its inputs, runs the exact computation, and emits a
 JSON report to stdout (or --out). Exact rationals appear as "p/q" strings.
 Only the commands that sample, construct and expander sample, take --seed;
 it falls back to the WSATLAB_SEED environment variable, then to 0.
-Exit codes: 0 success; 1 usage error, malformed input, or a file that cannot
-be read or written, with nothing on stdout and one "error: " line on stderr;
-2 verification failure; 3 budget or cap exhausted.
+construct takes only the options its family reads: sparse needs --delta
+and --k; delta3 and delta4 need --ratio and read --k and --clique-size;
+high-delta needs --delta, --ratio and --k and reads --clique-size, --seed,
+--expander-check and --max-attempts; counterexample reads --clique-size.
+Exit codes: 0 success; 1 usage error, malformed input, a work cap below 1,
+or a file that cannot be read or written, with nothing on stdout and one
+"error: " line on stderr; 2 verification failure; 3 budget or cap exhausted.
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _seed(seed: int | None) -> int:
+    if seed is not None:
+        return seed
     env = os.environ.get("WSATLAB_SEED")
     return int(env) if env else 0
 
@@ -123,34 +127,39 @@ def _wsat(args) -> tuple[dict, int]:
     return res.as_report(), 0
 
 
-# the options each construction family requires
-_FAMILY_NEEDS = {"sparse": ("delta", "k"), "delta3": ("ratio",), "delta4": ("ratio",),
-                 "high-delta": ("delta", "ratio", "k"), "counterexample": ()}
+# family -> (options it requires, other options it reads, builder called
+# with the options given, by name)
+_FAMILIES = {
+    "sparse": (("delta", "k"), (), sparse_family),
+    "delta3": (("ratio",), ("k", "clique_size"), lambda ratio, k=None, **kw:
+               build_delta3(solve_params(3, ratio, k), **kw)),
+    "delta4": (("ratio",), ("k", "clique_size"), lambda ratio, k=None, **kw:
+               build_delta4(solve_params(4, ratio, k), **kw)),
+    "high-delta": (("delta", "ratio", "k"),
+                   ("clique_size", "seed", "expander_check", "max_attempts"),
+                   lambda seed=None, **kw: build_high_delta(seed=_seed(seed), **kw)),
+    "counterexample": ((), ("clique_size",), lambda clique_size=100:
+                       counterexample_15_7(clique_big=clique_size)),
+}
+# every option some family reads
+_CONSTRUCT_OPTIONS = {o for need, read, _ in _FAMILIES.values() for o in need + read}
+
+
+def _flags(options) -> str:
+    return ", ".join("--" + o.replace("_", "-") for o in options)
 
 
 def _construct(args) -> tuple[dict, int]:
-    fam = args.family
-    missing = [f"--{o}" for o in _FAMILY_NEEDS[fam] if getattr(args, o) is None]
+    needs, reads, build = _FAMILIES[args.family]
+    given = {o: v for o, v in vars(args).items()
+             if o in _CONSTRUCT_OPTIONS and v is not None and v is not False}
+    missing = [o for o in needs if o not in given]
     if missing:
-        raise InfeasibleParamsError(f"{fam} needs {', '.join(missing)}")
-    if fam == "sparse":
-        con = sparse_family(args.delta, args.k)
-    elif fam in ("delta3", "delta4"):
-        params = solve_params(3 if fam == "delta3" else 4, args.ratio, args.k)
-        builder = build_delta3 if fam == "delta3" else build_delta4
-        con = builder(params, clique_size=args.clique_size)
-    elif fam == "high-delta":
-        con = build_high_delta(
-            args.delta, args.ratio, args.k, seed=_seed(args),
-            expander_check=args.expander_check,
-            clique_size=args.clique_size,
-            max_attempts=args.max_attempts,
-        )
-    else:
-        con = counterexample_15_7(
-            clique_big=100 if args.clique_size is None else args.clique_size
-        )
-    return con.as_report(), 0
+        raise InfeasibleParamsError(f"{args.family} needs {_flags(missing)}")
+    unread = [o for o in given if o not in needs + reads]
+    if unread:
+        raise WsatlabError(f"{args.family} does not read {_flags(unread)}")
+    return build(**given).as_report(), 0
 
 
 def _rotate(args) -> tuple[dict, int]:
@@ -211,7 +220,7 @@ def _expander_check(args) -> tuple[dict, int]:
 
 
 def _expander_sample(args) -> tuple[dict, int]:
-    seed = _seed(args)
+    seed = _seed(args.seed)
     g, attempts = sample_random_regular(args.r, args.n, seed, args.attempts)
     rep = {
         "r": args.r,
@@ -261,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     co = command(sub, "construct", _construct, "pattern families with target gamma",
                  samples=True)
-    co.add_argument("--family", required=True, choices=list(_FAMILY_NEEDS))
+    co.add_argument("--family", required=True, choices=list(_FAMILIES))
     co.add_argument("--ratio", type=_fraction, default=None)
     co.add_argument("--k", type=int, default=None)
     co.add_argument("--delta", type=int, default=None)
     co.add_argument("--clique-size", type=int, default=None)
     co.add_argument("--expander-check", action="store_true")
-    co.add_argument("--max-attempts", type=int, default=10**4)
+    co.add_argument("--max-attempts", type=int, default=None)
 
     r = command(sub, "rotate", _rotate, "rotate a minimum weakly saturated host")
     r.add_argument("host")

@@ -178,7 +178,7 @@ class _Component:
     # plan with nothing pinned (None for a clique)
     plan: _Plan | None
     # plans of the seeds, each compiled the first time a probe tries it
-    # (_seed_plan), so a pattern pays only for the seeds its probes reach;
+    # (_seeded), so a pattern pays only for the seeds its probes reach;
     # compiling all of them up front is |E| * |V| work per component
     seed_plans: dict[tuple[int, int], _Plan] = field(
         default_factory=dict, compare=False, repr=False
@@ -190,12 +190,6 @@ class _PatternInfo:
     components: tuple[_Component, ...]
     degrees: tuple[int, ...]
     adj: tuple[int, ...]
-
-
-def _seed_plan(info: _PatternInfo, comp: _Component, seed: tuple[int, int]) -> _Plan:
-    plan = _compile_plan(comp.verts, comp.twins, info.degrees, info.adj, seed)
-    comp.seed_plans[seed] = plan
-    return plan
 
 
 @lru_cache(maxsize=128)
@@ -555,32 +549,46 @@ def _pool_fits(comp, hv, used) -> bool:
     return (hv.full & ~used & hv.degmask(comp.min_deg)).bit_count() >= comp.size
 
 
-def _embed_rest(comps, info, hv, used):
-    """First embedding of the given components, pairwise disjoint, or None.
+def _embeddings(comp, plan, info, hv, used, images=()):
+    # (mapping, image mask) of each embedding of comp, with the pinned
+    # vertices (plan.anchors, a clique's first ones) on images
+    if comp.is_clique:
+        return _iter_clique_embeddings(comp, hv, used, images)
+    return _iter_generic_embeddings(plan, info, hv, used, images)
+
+
+def _seeded(comp, info, hv, forced):
+    """Embeddings of comp whose image uses the forced host edge: each
+    degree-feasible seed in turn carries it, one seed per twin orbit."""
+    u, v = forced
+    du, dv = hv.deg[u], hv.deg[v]
+    for (da, db), seeds in comp.seed_groups:
+        if da > du or db > dv:
+            continue
+        for seed in seeds:
+            plan = comp.seed_plans.get(seed)
+            if plan is None and not comp.is_clique:
+                plan = comp.seed_plans[seed] = _compile_plan(
+                    comp.verts, comp.twins, info.degrees, info.adj, seed
+                )
+            yield from _embeddings(comp, plan, info, hv, 0, forced)
+
+
+def _embed_rest(pattern, comps, info, hv, head):
+    """First embedding of the given components, pairwise disjoint, or None;
+    ``head`` enumerates the embeddings of the first component.
 
     Backtracks jointly across components, but only over distinct image
-    sets: whether the remaining components fit depends on the head
-    component's image as a set, never on which mapping realized it. The
+    sets: whether the remaining components fit depends on the earlier
+    components' images as a set, never on which mapping realized them. The
     backtracking keeps one frame per placed component on an explicit
     stack, so the number of components is not bounded by recursion depth.
     """
-    if not comps:
-        return {}
+    if not _pool_fits(comps[0], hv, 0):
+        return None
     # frame k: [embeddings of comps[k], image sets seen, vertices used by
     # comps[:k], current mapping of comps[k]]
-    frames = []
-
-    def push(used_now):
-        comp = comps[len(frames)]
-        if not _pool_fits(comp, hv, used_now):
-            it = iter(())
-        elif comp.is_clique:
-            it = _iter_clique_embeddings(comp, hv, used_now, ())
-        else:
-            it = _iter_generic_embeddings(comp.plan, info, hv, used_now, ())
-        frames.append([it, set(), used_now, None])
-
-    push(used)
+    frames = [[head, set(), 0, None]]
     while frames:
         frame = frames[-1]
         it, seen, used_now, _ = frame
@@ -596,8 +604,12 @@ def _embed_rest(comps, info, hv, used):
             out = {}
             for f in frames:
                 out.update(f[3])
-            return out
-        push(used_now | mask)
+            return Embedding(pattern, hv.host, tuple(out[i] for i in range(pattern.n)))
+        comp = comps[len(frames)]
+        used_now |= mask
+        fits = _pool_fits(comp, hv, used_now)
+        it = _embeddings(comp, comp.plan, info, hv, used_now) if fits else ()
+        frames.append([it, set(), used_now, None])
     return None
 
 
@@ -621,34 +633,17 @@ def find_new_copy(
         return None
     info = _pattern_info(pattern)
     hv = _HostView(host)
-    du, dv = hv.deg[u], hv.deg[v]
-    images = (u, v)
-    for ci, comp in enumerate(info.components):
-        if not comp.seed_groups or not _pool_fits(comp, hv, 0):
-            continue
-        others = tuple(c for j, c in enumerate(info.components) if j != ci)
-        # distinct forced-component images tried once across all seeds: the
-        # fit of the other components depends only on the image set
-        seen: set[int] = set()
-        for (da, db), seeds in comp.seed_groups:
-            if da > du or db > dv:
-                continue
-            for seed in seeds:
-                if comp.is_clique:
-                    found = _iter_clique_embeddings(comp, hv, 0, images)
-                else:
-                    plan = comp.seed_plans.get(seed) or _seed_plan(info, comp, seed)
-                    found = _iter_generic_embeddings(plan, info, hv, 0, images)
-                for mapping, mask in found:
-                    if mask in seen:
-                        continue
-                    seen.add(mask)
-                    rest = _embed_rest(others, info, hv, mask)
-                    if rest is not None:
-                        rest.update(mapping)
-                        return Embedding(
-                            pattern, host, tuple(rest[i] for i in range(pattern.n))
-                        )
+    comps = info.components
+    for ci, comp in enumerate(comps):
+        if comp.seed_groups:
+            # the forced component is frame 0, so each distinct image of it
+            # is tried once across all seeds
+            found = _embed_rest(
+                pattern, (comp,) + comps[:ci] + comps[ci + 1 :], info, hv,
+                _seeded(comp, info, hv, (u, v)),
+            )
+            if found is not None:
+                return found
     return None
 
 
@@ -660,7 +655,6 @@ def find_any_embedding(pattern: Graph, host: Graph) -> Embedding | None:
         return None
     info = _pattern_info(pattern)
     hv = _HostView(host)
-    rest = _embed_rest(info.components, info, hv, 0)
-    if rest is None:
-        return None
-    return Embedding(pattern, host, tuple(rest[i] for i in range(pattern.n)))
+    first = info.components[0]
+    head = _embeddings(first, first.plan, info, hv, 0)
+    return _embed_rest(pattern, info.components, info, hv, head)

@@ -214,6 +214,8 @@ def sample_random_regular(
     so the returned graph is the one of seed ``seed + attempts - 1``.
     Raises BudgetExceededError when ``max_attempts`` attempts all fail.
     """
+    if max_attempts < 1:
+        raise ParameterRangeError("max_attempts must be at least 1")
     for attempt in range(max_attempts):
         _, g = sample_configuration(r, n, seed + attempt)
         if g is not None and (accept is None or accept(g)):

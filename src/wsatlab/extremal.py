@@ -366,6 +366,8 @@ def wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResult:
         raise ParameterRangeError("need at least one host vertex")
     if f.n == 0:
         raise ParameterRangeError("pattern must have vertices")
+    if budget < 1:
+        raise ParameterRangeError("budget must be at least 1")
     delta = f.min_degree
     pairs = list(itertools.combinations(range(n), 2))
     explored = 0

@@ -1,13 +1,10 @@
-"""Small-graph isomorphism tests, just strong enough for dedup.
+"""Graph isomorphism tests for dedup.
 
-Candidates are bucketed by a cheap invariant key; exact equivalence within a
-bucket is decided by backtracking over degree-compatible assignments. Meant
-for graphs with at most ~20 vertices.
+Graphs are bucketed by a cheap invariant key, then tested exactly by a
+backtracking search over candidate masks that does not recurse.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .graphs import Graph
 
@@ -31,41 +28,39 @@ def invariant_key(g: Graph) -> tuple:
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.num_edges != h.num_edges:
         return False
-    if sorted(g.degrees) != sorted(h.degrees):
-        return False
-    n = g.n
     gdeg, hdeg = g.degrees, h.degrees
-    # order g-vertices by scarcity of their degree class, then degree
-    freq = Counter(gdeg)
-    order = sorted(range(n), key=lambda u: (freq[gdeg[u]], -gdeg[u], u))
-    mapping = [-1] * n
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        u = order[i]
-        want = gdeg[u]
-        nbr_imgs = [mapping[w] for w in g.neighbors(u) if mapping[w] >= 0]
-        for x in range(n):
-            if used >> x & 1 or hdeg[x] != want:
-                continue
-            hm = h.adj_mask(x)
-            if any(not (hm >> y & 1) for y in nbr_imgs):
-                continue
-            # mapped non-neighbors must stay non-neighbors
-            if (hm & used).bit_count() != len(nbr_imgs):
-                continue
-            mapping[u] = x
-            used |= 1 << x
-            if extend(i + 1):
-                return True
-            mapping[u] = -1
-            used &= ~(1 << x)
+    if sorted(gdeg) != sorted(hdeg):
         return False
-
-    return extend(0)
+    gadj, hadj = g._adj, h._adj
+    of_degree: dict[int, int] = {}
+    for x, d in enumerate(hdeg):
+        of_degree[d] = of_degree.get(d, 0) | 1 << x
+    # order g-vertices by scarcity of their degree class, then degree
+    order = sorted(
+        range(g.n), key=lambda u: (of_degree[gdeg[u]].bit_count(), -gdeg[u], u)
+    )
+    # images[i] is the h-image of order[i], left[i] its untried candidates:
+    # h-vertices of its degree whose adjacency to the earlier images matches
+    images: list[int] = []
+    left: list[int] = []
+    while len(images) < g.n:
+        i = len(images)
+        if len(left) == i:
+            gu = gadj[order[i]]
+            m = of_degree[gdeg[order[i]]]
+            for w, x in zip(order, images):
+                m &= hadj[x] if gu >> w & 1 else ~(hadj[x] | 1 << x)
+            left.append(m)
+        m = left[i]
+        if m:
+            left[i] = m & (m - 1)
+            images.append((m & -m).bit_length() - 1)
+        elif images:
+            left.pop()
+            images.pop()
+        else:
+            return False
+    return True
 
 
 class IsoClassRegistry:

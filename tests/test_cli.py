@@ -210,6 +210,18 @@ def test_bad_input_exits_with_one_line(files, capsys):
         # --seed only where the command samples; expander table has no --r
         (["gamma", files["k3"], "--seed", "1"], "--seed"),
         (["expander", "table", "--r", "6"], "--r"),
+        # a work cap below 1 is a caller mistake, not an inconclusive run
+        (["wsat", "--n", "3", "--pattern", files["k3"], "--budget", "-1"], "budget"),
+        (["wsat", "--n", "3", "--pattern", files["k3"], "--budget", "0"], "budget"),
+        (["expander", "sample", "--r", "3", "--n", "10", "--attempts", "0"],
+         "max_attempts"),
+        (["construct", "--family", "high-delta", "--delta", "6", "--ratio", "3",
+          "--k", "16", "--max-attempts", "0"], "max_attempts"),
+        # construct takes only the options its family reads
+        (["construct", "--family", "sparse", "--delta", "2", "--k", "5", "--ratio",
+          "3/2", "--expander-check", "--clique-size", "9"],
+         "--ratio, --clique-size, --expander-check"),
+        (["construct", "--family", "counterexample", "--seed", "3"], "--seed"),
     ]
     for argv, needle in cases:
         assert main(argv) == 1, argv

@@ -12,7 +12,7 @@ from wsatlab.constructions import (
     sparse_family,
     spread_indices,
 )
-from wsatlab.errors import InfeasibleParamsError
+from wsatlab.errors import InfeasibleParamsError, ParameterRangeError
 from wsatlab.extremal import gamma_min_ratio, gamma_of_set, m_f
 from wsatlab.graphs import graph6_to_graph, graph_to_graph6
 
@@ -136,6 +136,8 @@ def test_high_delta():
     for k in (0, 6):  # no 6-regular graph on k vertices; 0 divided by zero
         with pytest.raises(InfeasibleParamsError):
             build_high_delta(6, Fraction(3), k, seed=1)
+    with pytest.raises(ParameterRangeError):
+        build_high_delta(6, Fraction(3), 16, seed=1, max_attempts=0)
 
 
 def test_high_delta_t_range():

@@ -472,6 +472,9 @@ SMALL_PATTERNS = {
     "P3": path_graph(3),
     "K3+K2": disjoint_union([complete_graph(3), K2]),
     "C4+K2": disjoint_union([cycle_graph(4), K2]),
+    # a clique before a smaller non-clique component; three components
+    "K4+P3": disjoint_union([complete_graph(4), path_graph(3)]),
+    "C4+K3+K2": disjoint_union([cycle_graph(4), complete_graph(3), K2]),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp
 
 import wsatlab
-from wsatlab.errors import BudgetExceededError, CapExceededError
+from wsatlab.errors import BudgetExceededError, CapExceededError, ParameterRangeError
 from wsatlab.expander import (
     TABLE_R6,
     best_eta,
@@ -134,6 +134,9 @@ def test_sample_random_regular():
     assert sample_configuration(6, 24, 7 + attempts - 1)[1] == g
     with pytest.raises(BudgetExceededError):
         sample_random_regular(3, 8, seed=0, max_attempts=5, accept=lambda g: False)
+    for cap in (0, -1):
+        with pytest.raises(ParameterRangeError):
+            sample_random_regular(3, 8, seed=0, max_attempts=cap)
 
 
 def test_i_alpha_examples():

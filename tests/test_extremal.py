@@ -394,6 +394,8 @@ def test_out_of_range_arguments_raise_parameter_range_error():
         lambda: gamma_min_ratio(Graph(0)),
         lambda: wsat_exact(0, complete_graph(3)),
         lambda: wsat_exact(3, Graph(0)),
+        lambda: wsat_exact(3, complete_graph(3), budget=0),
+        lambda: wsat_exact(3, complete_graph(3), budget=-1),
         lambda: build_f_tilde(cycle_graph(4), clique_pad=-1),
     ):
         with pytest.raises(ParameterRangeError):
