@@ -11,6 +11,7 @@ high-delta needs --delta, --ratio and --k and reads --clique-size, --seed,
 Exit codes: 0 success; 1 usage error, malformed input, a work cap below 1,
 or a file that cannot be read or written, with nothing on stdout and one
 "error: " line on stderr; 2 verification failure; 3 budget or cap exhausted.
+A reader that closes stdout early also gets exit 1, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -341,10 +342,15 @@ def main(argv=None) -> int:
         if args.out:
             _write(args.out, text + "\n")
         else:
-            print(text)
+            print(text, flush=True)
         return code
     except WsatlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
 
 

@@ -4,7 +4,12 @@ best-eta search, exact isoperimetric numbers, and the configuration model.
 Transcendental evaluation happens in log domain with interval arithmetic
 (mpmath.iv at 120 bits), so every satisfaction claim is a directed-rounding
 bracket, not a floating-point estimate: the condition counts as satisfied
-only when sup(lhs) < inf(rhs).
+only when sup(lhs) < inf(rhs). Each evaluation sets ``mpmath.iv.prec`` to
+120 bits, so the brackets do not depend on what a caller left there.
+
+numpy (for ``i_alpha_exact``) and mpmath (for the condition) are imported
+on first use, so importing this module, or any module that imports it,
+loads neither.
 """
 
 from __future__ import annotations
@@ -15,9 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-import numpy as np
-from mpmath import iv
-
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -26,10 +28,17 @@ from .errors import (
 )
 from .graphs import Graph
 
-iv.prec = 120
+
+def _iv():
+    """mpmath's interval context, at 120 bits."""
+    from mpmath import iv
+
+    iv.prec = 120
+    return iv
 
 
 def _ivf(x: Fraction):
+    iv = _iv()
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
@@ -45,6 +54,7 @@ def condition_lhs(alpha, r: int):
     alpha = _check_alpha(alpha)
     if r < 3:
         raise ParameterRangeError("degree must be at least 3")
+    iv = _iv()
     a = _ivf(alpha)
     ln = (-a * iv.log(a) - (1 - a) * iv.log(1 - a)) / r
     return iv.exp(ln)
@@ -60,6 +70,7 @@ def condition_rhs(alpha, eta):
     eta = Fraction(eta)
     if not Fraction(0) <= eta <= Fraction(1):
         raise ParameterRangeError("eta must lie in [0, 1]")
+    iv = _iv()
     a = _ivf(alpha)
     e = _ivf(eta)
     if eta == 1:
@@ -273,13 +284,15 @@ def i_alpha_exact(g: Graph, alpha, cap: int = 26) -> IsoperimetricValue:
     if kmax < 1:
         raise ParameterRangeError("size bound alpha*n admits no nonempty subset")
     lcm = math.lcm(*range(1, kmax + 1))
-    top = np.iinfo(np.int64).max
+    top = (1 << 63) - 1  # the int64 maximum
     # x(S) <= |E|, and the key of a set of size k is at most
     # |E|*lcm*(n+1) + k; keys must stay below the sentinel ``top``
     if g.num_edges * lcm * (n + 1) + kmax >= top:
         raise CapExceededError(
             f"isoperimetric keys overflow int64 at n={n}, |S| <= {kmax}"
         )
+    import numpy as np
+
     x = np.zeros(1 << n, dtype=np.int16)
     for b in range(n):
         h = 1 << b

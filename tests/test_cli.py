@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wsatlab
 from wsatlab.cli import main
 from wsatlab.graphs import (
     complete_graph,
@@ -35,6 +39,30 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def child_env():
+    src = os.path.dirname(os.path.dirname(wsatlab.__file__))
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def run_main_fresh(argvs):
+    """Run main on each argv in one new interpreter; returns the exit codes
+    and which of numpy and mpmath that interpreter loaded."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from wsatlab.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, sorted({'numpy', 'mpmath'} & set(sys.modules))]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=child_env(),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return tuple(json.loads(out))
 
 
 def test_gamma_both_methods(files, capsys):
@@ -241,3 +269,33 @@ def test_seed_falls_back_to_environment(capsys, monkeypatch):
     assert from_env["results"] == explicit["results"]
     assert from_env["provenance"]["seed"] is None
     assert explicit["provenance"]["seed"] == explicit["inputs"]["seed"] == 4
+
+
+def test_only_expander_commands_load_numpy_or_mpmath(files):
+    exact = [
+        ["closure", files["star5"], "--pattern", files["k3"]],
+        ["gamma", files["k4"]],
+        ["wsat", "--n", "4", "--pattern", files["k3"]],
+        ["construct", "--family", "sparse", "--delta", "2", "--k", "5"],
+    ]
+    assert run_main_fresh(exact) == ([0, 0, 0, 0], [])
+    check = ["expander", "check", "--alpha", "1/2", "--eta", "7/10"]
+    assert run_main_fresh([check]) == ([0], ["mpmath"])
+    sample = ["expander", "sample", "--r", "3", "--n", "10", "--alpha", "1/2"]
+    assert run_main_fresh([sample]) == ([0], ["numpy"])
+
+
+def test_closed_stdout_exits_quietly():
+    # the report (about 200 kB) outgrows the pipe's buffer, so the child is
+    # still writing when the pipe closes
+    argv = ["construct", "--family", "sparse", "--delta", "2", "--k", "1500"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "wsatlab.cli", *argv], env=child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(50).startswith(b"{")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert err == b""

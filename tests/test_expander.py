@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 import wsatlab
 from wsatlab.errors import BudgetExceededError, CapExceededError, ParameterRangeError
@@ -24,6 +24,17 @@ from wsatlab.expander import (
     verify_table,
 )
 from wsatlab.graphs import Graph, complete_graph, cycle_graph, disjoint_union
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports wsatlab from this
+    checkout; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(wsatlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
 
 
 def rand_graph(rng, n, p):
@@ -66,6 +77,21 @@ def test_condition_value_is_rigorous():
     assert cv.lhs_inf <= cv.lhs_sup and cv.rhs_inf <= cv.rhs_sup
     if cv.satisfied:
         assert cv.lhs_sup < cv.rhs_inf
+
+
+def test_precision_ignores_caller_iv_prec(monkeypatch):
+    before = (
+        evaluate_condition(Fraction(1, 2), 6, Fraction(7, 10)),
+        best_eta(Fraction(3, 10), 6),
+        verify_table(table=TABLE_R6[:1]),
+    )
+    monkeypatch.setattr(iv, "prec", 20)
+    after = (
+        evaluate_condition(Fraction(1, 2), 6, Fraction(7, 10)),
+        best_eta(Fraction(3, 10), 6),
+        verify_table(table=TABLE_R6[:1]),
+    )
+    assert after == before
 
 
 def test_best_eta_table_rows():
@@ -189,20 +215,43 @@ def test_i_alpha_against_brute():
 
 def test_i_alpha_memory_is_bounded():
     # two bytes per subset, 32 MB for the 2^24 sets at n=24, plus one chunk
-    code = (
+    out = run_fresh(
         "import resource; from fractions import Fraction; "
         "from wsatlab.expander import i_alpha_exact, sample_random_regular; "
         "g, _ = sample_random_regular(6, 24, seed=3); "
         "i_alpha_exact(g, Fraction(1, 2)); "
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
     )
-    src = os.path.dirname(os.path.dirname(wsatlab.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
-    ).stdout
     assert int(out) < 250 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_i_alpha_errors_raise_before_numpy_loads():
+    # a fresh process, so numpy is loaded only if i_alpha_exact loads it
+    out = run_fresh(
+        "import sys; from fractions import Fraction; "
+        "from wsatlab.errors import CapExceededError, ParameterRangeError; "
+        "from wsatlab.expander import i_alpha_exact; "
+        "from wsatlab.graphs import Graph, complete_graph\n"
+        "cases = [(complete_graph(4), Fraction(0), {}, ParameterRangeError), "
+        "(Graph(0, []), Fraction(1, 2), {}, ParameterRangeError), "
+        "(complete_graph(30), Fraction(1, 2), {}, CapExceededError), "
+        "(complete_graph(64), Fraction(1), {'cap': 64}, CapExceededError)]\n"
+        "for g, alpha, kw, error in cases:\n"
+        "    try:\n"
+        "        i_alpha_exact(g, alpha, **kw)\n"
+        "    except error:\n"
+        "        print('numpy' in sys.modules)\n"
+    )
+    assert out.split() == ["False"] * 4
+
+
+def test_importing_wsatlab_loads_neither_numpy_nor_mpmath():
+    out = run_fresh(
+        "import sys, wsatlab, wsatlab.cli, wsatlab.constructions, "
+        "wsatlab.extremal, wsatlab.percolation; "
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    )
+    assert out.strip() == "[]"
 
 
 def test_i_alpha_key_overflow_raises_before_allocating():
