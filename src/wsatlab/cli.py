@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     ws = command(sub, "wsat", _wsat, "exact weak saturation number")
     ws.add_argument("--n", type=int, required=True)
     ws.add_argument("--pattern", required=True)
-    ws.add_argument("--budget", type=int, default=2_000_000)
+    ws.add_argument("--budget", type=int, default=2_000_000,
+                    help="cap on one-edge extensions of the hosts searched")
 
     co = command(sub, "construct", _construct, "pattern families with target gamma",
                  samples=True)

@@ -10,7 +10,6 @@ minimum cut, all in exact rational arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -340,6 +339,8 @@ class WsatResult:
     value: int
     witness: Graph
     witnesses: tuple[Graph, ...] = field(repr=False, default=())
+    # one-edge extensions generated (g.with_edge for a class g and a
+    # non-edge of g), the unit ``budget`` is counted in
     nodes_explored: int = 0
 
     def as_report(self) -> dict:
@@ -354,13 +355,18 @@ class WsatResult:
 
 
 def wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResult:
-    """Minimum edge count of a weakly saturated host on n vertices, with a
-    witness, certified by exhausting all smaller edge counts.
+    """Minimum edge count of a weakly saturated host on n vertices, with one
+    witness per isomorphism class, certified by exhausting all smaller edge
+    counts.
 
-    Candidate edge sets are deduplicated up to isomorphism (all hosts live
-    on an unlabeled vertex set), and hosts with a non-universal vertex of
-    degree below min_degree(f) - 1 are pruned: such a vertex could never
-    appear in its first new copy.
+    Hosts are grown one edge at a time, keeping one graph per isomorphism
+    class at each edge count: every m-edge graph is an (m-1)-edge graph
+    plus an edge, and an isomorphism carries that edge to a non-edge of the
+    class representative, so each class turns up. Classes with a
+    non-universal vertex of degree below min_degree(f) - 1 are not tested,
+    as such a vertex could never appear in its first new copy; they are
+    still extended, since a larger host can lift every degree. ``budget``
+    caps the one-edge extensions generated.
     """
     if n < 1:
         raise ParameterRangeError("need at least one host vertex")
@@ -369,29 +375,30 @@ def wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResult:
     if budget < 1:
         raise ParameterRangeError("budget must be at least 1")
     delta = f.min_degree
-    pairs = list(itertools.combinations(range(n), 2))
+    level = [Graph(n)]
     explored = 0
-    for m in range(len(pairs) + 1):
-        reg = IsoClassRegistry()
-        found: list[Graph] = []
-        for combo in itertools.combinations(pairs, m):
-            explored += 1
-            if explored > budget:
-                raise BudgetExceededError(
-                    f"budget {budget} exhausted at {m} edges",
-                    partial={"lower_bound": m, "nodes_explored": explored},
-                )
-            g = Graph(n, combo)
-            if any(
-                d < delta - 1 and d != n - 1 for d in g.degrees
-            ):
-                continue
-            if not reg.add(g):
-                continue
-            if is_weakly_saturated(g, f):
-                found.append(g)
+    for m in range(n * (n - 1) // 2 + 1):
+        found = [
+            g for g in level
+            if all(d >= delta - 1 or d == n - 1 for d in g.degrees)
+            and is_weakly_saturated(g, f)
+        ]
         if found:
             return WsatResult(n, m, found[0], tuple(found), explored)
+        reg = IsoClassRegistry()
+        grown: list[Graph] = []
+        for g in level:
+            for u, v in g.non_edges():
+                explored += 1
+                if explored > budget:
+                    raise BudgetExceededError(
+                        f"budget {budget} exhausted growing {m + 1}-edge hosts",
+                        partial={"lower_bound": m + 1, "nodes_explored": explored},
+                    )
+                h = g.with_edge(u, v)
+                if reg.add(h):
+                    grown.append(h)
+        level = grown
     raise AssertionError("unreachable: the complete graph is always saturated")
 
 

@@ -320,11 +320,26 @@ def test_wsat_k2():
 
 
 def test_wsat_clique_formula_full_range():
-    # (s-2)n - C(s-1,2) for s in {3,4} and s <= n <= s+3; the five largest
-    # pairs run in the acceptance suite, the corners here
-    for s, n in [(3, 3), (3, 4), (4, 4), (4, 7)]:
+    # Lovasz: wsat(n, K_s) = (s-2)n - C(s-1,2)
+    cases = [(s, n) for s in (3, 4) for n in range(s, 9)]
+    cases += [(5, n) for n in range(5, 8)]
+    for s, n in cases:
         expect = (s - 2) * n - (s - 1) * (s - 2) // 2
-        assert wsat_exact(n, complete_graph(s), budget=3_000_000).value == expect
+        assert wsat_exact(n, complete_graph(s)).value == expect, (s, n)
+
+
+@pytest.mark.parametrize(
+    "pattern,value,classes",
+    [
+        (cycle_graph(4), 7, 23),
+        (complete_graph(4).without_edge(0, 1), 7, 27),
+        (complete_graph(4), 11, 62),
+    ],
+)
+def test_wsat_n7_witness_classes(pattern, value, classes):
+    # measured with the labelled-subset search (tests/test_wsat_oracle.py)
+    res = wsat_exact(7, pattern)
+    assert (res.value, len(res.witnesses)) == (value, classes)
 
 
 def test_wsat_witness_is_certified():
@@ -343,6 +358,20 @@ def test_wsat_budget():
     with pytest.raises(BudgetExceededError) as ei:
         wsat_exact(6, complete_graph(3), budget=10)
     assert ei.value.partial["nodes_explored"] == 11
+
+
+def test_wsat_budget_lower_bound_never_exceeds_value():
+    k3 = complete_graph(3)
+    full = wsat_exact(6, k3)
+    assert full.value == 5
+    bounds = []
+    for budget in range(1, full.nodes_explored):
+        with pytest.raises(BudgetExceededError) as ei:
+            wsat_exact(6, k3, budget=budget)
+        assert ei.value.partial["nodes_explored"] == budget + 1
+        bounds.append(ei.value.partial["lower_bound"])
+    assert bounds == sorted(bounds) and bounds[-1] == full.value
+    assert wsat_exact(6, k3, budget=full.nodes_explored) == full
 
 
 def test_gamma_slack_logged_not_asserted():
