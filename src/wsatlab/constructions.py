@@ -256,9 +256,10 @@ def build_high_delta(
     the target ratio.
 
     The gadget comes from ``sample_random_regular`` (attempt i uses seed
-    seed + i): it is resampled until simple and, when ``expander_check`` is
-    on, until i_alpha exceeds 2.01*(1-alpha) for alpha in {0.1, 0.5, t/k}
-    (exact check, so k must stay enumerable).
+    seed + i, so nearby start seeds often give the same gadget): it is
+    resampled until simple and, when ``expander_check`` is on, until i_alpha
+    exceeds 2.01*(1-alpha) for alpha in {0.1, 0.5, t/k} (exact check, so k
+    must stay enumerable).
     """
     if delta < 6:
         raise InfeasibleParamsError("this family needs delta >= 6")

@@ -115,19 +115,22 @@ def evaluate_condition(alpha, r: int, eta) -> ConditionValue:
 def best_eta(alpha, r: int, tol=Fraction(1, 10**7)) -> tuple[Fraction, Fraction]:
     """Smallest eta (within tol) rigorously satisfying the condition, with
     the guaranteed expansion (1-eta) * r * (1-alpha) as an exact rational.
+    The lhs does not depend on eta, so it is evaluated once per call; each
+    step tests sup(lhs) < inf(rhs), the rigorous test of evaluate_condition.
     """
     alpha = Fraction(alpha)
     tol = Fraction(tol)
     if tol <= 0:
         raise ParameterRangeError("tol must be positive")
-    if not evaluate_condition(alpha, r, Fraction(1)).satisfied:
+    lhs_sup = condition_lhs(alpha, r).b
+    if not lhs_sup < condition_rhs(alpha, 1).a:
         raise ConditionUnsatisfiableError(
             f"condition unsatisfiable on [0,1] for alpha={alpha}, r={r}"
         )
     lo, hi = Fraction(0), Fraction(1)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if evaluate_condition(alpha, r, mid).satisfied:
+        if lhs_sup < condition_rhs(alpha, mid).a:
             hi = mid
         else:
             lo = mid
@@ -156,14 +159,14 @@ TABLE_R6: tuple[tuple[Fraction, Fraction, Fraction], ...] = tuple(
 )
 
 
-def verify_table(tol=Fraction(1, 10**7), table=None) -> dict:
+def verify_table(table=None) -> dict:
     """Recompute every row of the degree-6 table: the guaranteed expansion
     at the top of each alpha range must reach the published bound, and the
     bound must cover 2.01*(1-alpha_lo). Emits one pass/fail entry per row."""
     rows = []
     all_pass = True
     for alpha_lo, alpha_hi, bound in table if table is not None else TABLE_R6:
-        _, expansion = best_eta(alpha_hi, 6, tol)
+        _, expansion = best_eta(alpha_hi, 6)
         row_pass = expansion >= bound and bound >= Fraction(201, 100) * (1 - alpha_lo)
         all_pass = all_pass and row_pass
         rows.append(
@@ -222,7 +225,8 @@ def sample_random_regular(
     used).
 
     Attempt i (counting from 0) draws ``sample_configuration(r, n, seed + i)``,
-    so the returned graph is the one of seed ``seed + attempts - 1``.
+    so the graph is that of seed s = ``seed + attempts - 1``, which every start
+    seed from ``seed`` to s also returns; start at s + 1 for another graph.
     Raises BudgetExceededError when ``max_attempts`` attempts all fail.
     """
     if max_attempts < 1:

@@ -223,7 +223,7 @@ def gamma_min_ratio(g: Graph) -> GammaResult:
         if h >= 0:
             # lam is attained by the current witness and nothing beats it
             return GammaResult(lam, witness, "ratio", solves)
-        lam = Fraction(m_f(g, s) - 1, len(s))
+        lam = gamma_of_set(g, s)
         witness = s
 
 
@@ -285,7 +285,8 @@ def lemma23_sequence(
         raise ValueError("s must be a nonempty vertex subset of f")
     if i < 0:
         raise ValueError("block count must be nonnegative")
-    if gamma_of_set(f, s) != gamma_min_ratio(f).value:
+    target = gamma_of_set(f, s)
+    if target != gamma_min_ratio(f).value:
         raise ValueError("s is not a gamma-minimizing set of f")
     smask = 0
     for v in s:
@@ -296,38 +297,27 @@ def lemma23_sequence(
         for v, g_adj in enumerate(f._adj)
     ):
         pad = f.n + 2
-        target = gamma_of_set(f, s)
         while Fraction(pad * (pad - 1) // 2 - 1, pad) <= target:
             pad += 1
         f_work = disjoint_union([f, complete_graph(pad)])
     incident = [e for e in f.sorted_edges() if e[0] in s or e[1] in s]
     if not incident:
         raise ValueError("no edge of f is incident to s")
-    estar = incident[0]
     q = sum(1 for _ in f_work.non_edges())
     if clique_size is None:
         clique_size = (1 << q) * f_work.n + 1
     outside = sorted(set(range(f_work.n)) - s)
     if clique_size < len(outside) + 1:
         raise ValueError("clique too small to hold U")
-    u_of = {v: idx for idx, v in enumerate(outside)}  # outside vertex -> U slot
-    s_sorted = sorted(s)
-    s_rank = {v: idx for idx, v in enumerate(s_sorted)}
-    edges = [
-        (x, y) for x in range(clique_size) for y in range(x + 1, clique_size)
-    ]
-    block_edges = [
-        e for e in f_work.sorted_edges()
-        if e != estar and (e[0] in s or e[1] in s)
-    ]
-    for j in range(i):
-        off = clique_size + j * len(s_sorted)
-
-        def loc(v):
-            return off + s_rank[v] if v in s else u_of[v]
-
-        edges.extend((loc(x), loc(y)) for x, y in block_edges)
-    return Graph(clique_size + i * len(s_sorted), edges)
+    clique = complete_graph(clique_size)
+    if i == 0:
+        return clique
+    # block 0, without the fixed edge incident[0]: s after K, the rest in U
+    loc = {v: idx for idx, v in enumerate(outside)}
+    loc.update((v, clique_size + idx) for idx, v in enumerate(sorted(s)))
+    block = [(loc[x], loc[y]) for x, y in incident[1:]]
+    g = Graph(clique_size + len(s), list(clique.edges) + block)
+    return replicate_component(g, range(clique_size, g.n), block, i - 1)
 
 
 # -- exact weak saturation numbers --------------------------------------------

@@ -26,7 +26,7 @@ from .errors import (
     InactiveVertexError,
     TraceIncompleteError,
 )
-from .graphs import Graph
+from .graphs import Graph, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,6 @@ class ActivationPartition:
     g_hat: Graph
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def activation_partition(trace: PercolationTrace) -> ActivationPartition:
     """Replay a terminal-complete trace into its activation partition.
 
@@ -162,7 +158,7 @@ def activation_partition(trace: PercolationTrace) -> ActivationPartition:
         owned = {
             e for e in used_host_edges if e[0] in newly or e[1] in newly
         }
-        act = _norm(u, v)
+        act = _norm_edge(u, v)
         if act[0] in newly or act[1] in newly:
             owned.add(act)
         parts.append(Part(newly, act, frozenset(owned)))
@@ -224,11 +220,18 @@ def rotate(ap: ActivationPartition, matching: Sequence[tuple[int, int]]) -> Grap
         raise ValueError("matching must select one edge per part")
     g = ap.g_hat
     for p, e in zip(ap.parts, matching):
-        e = _norm(*e)
+        e = _norm_edge(*e)
         if e not in p.owned:
             raise ValueError(f"edge {e} not owned by its part")
         g = g.without_edge(*e)
     return g
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def rotation_components(
@@ -237,7 +240,8 @@ def rotation_components(
     """Partition part indices into rotation components by brute force.
 
     Two parts are equivalent iff their contracted vertices stay connected in
-    the activated host minus M, for every A-matching M.
+    the activated host minus M, for every A-matching M: the meet of the
+    per-matching partitions, found by refining one label per part.
     """
     total = count_a_matchings(ap)
     if total > budget:
@@ -250,39 +254,19 @@ def rotation_components(
         for v in p.vertices:
             part_of[v] = i
     hat_edges = sorted(ap.g_hat.edges)
-    # connected[i][j] stays True only if i,j are joined under every matching
-    connected = [[True] * k for _ in range(k)]
+    label = [0] * k
     for matching in enumerate_a_matchings(ap):
         removed = set(matching)
         parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in hat_edges:
-            if (u, v) in removed:
-                continue
-            ru, rv = find(part_of[u]), find(part_of[v])
-            if ru != rv:
-                parent[ru] = rv
-        roots = [find(i) for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if roots[i] != roots[j]:
-                    connected[i][j] = connected[j][i] = False
-    comps = []
-    seen = [False] * k
+            if (u, v) not in removed:
+                parent[_root(parent, part_of[u])] = _root(parent, part_of[v])
+        ids = {}
+        label = [ids.setdefault((label[i], _root(parent, i)), len(ids)) for i in range(k)]
+    comps = {}
     for i in range(k):
-        if seen[i]:
-            continue
-        comp = [j for j in range(k) if connected[i][j] or j == i]
-        for j in comp:
-            seen[j] = True
-        comps.append(comp)
-    return comps
+        comps.setdefault(label[i], []).append(i)
+    return list(comps.values())
 
 
 def part_density(part_vertices: Iterable[int], owned_count: int) -> Fraction:
