@@ -81,7 +81,10 @@ def _seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get("WSATLAB_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise WsatlabError(f"WSATLAB_SEED is not an integer: {env!r}") from None
 
 
 def _load(path: str) -> Graph:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .graphs import Graph, twin_classes
+from .graphs import Graph, _mask, twin_classes
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,7 @@ def _compile_plan(verts, twins, degs, padj, anchors) -> _Plan:
         to_fill = tuple(m for m in members if m not in pinned)
         if len(to_fill) >= 2:
             classes.append((is_true, cmask, outside, to_fill))
-    deferred = 0
-    for *_, to_fill in classes:
-        for m in to_fill:
-            deferred |= 1 << m
+    deferred = _mask(m for *_, to_fill in classes for m in to_fill)
     free = tuple(v for v in verts if v not in pinned and not deferred >> v & 1)
     return _Plan(
         anchors=anchors,
@@ -212,9 +209,7 @@ def _pattern_info(pattern: Graph) -> _PatternInfo:
     for is_true, members in twin_classes(pattern):
         k = comp_of[members[0]]
         if all(comp_of[m] == k for m in members):
-            cmask = 0
-            for m in members:
-                cmask |= 1 << m
+            cmask = _mask(members)
             twins_of[k].append((is_true, members, cmask, adj[members[0]] & ~cmask))
     comps = []
     for verts, edges, twins in zip(verts_of, edges_of, twins_of):
@@ -289,9 +284,7 @@ class _HostView:
         if self._twins is None:
             masks = [1 << v for v in range(len(self.adj))]
             for _, members in twin_classes(self.host):
-                m = 0
-                for v in members:
-                    m |= 1 << v
+                m = _mask(members)
                 for v in members:
                     masks[v] = m
             self._twins = masks
@@ -398,9 +391,7 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
     for i, j in plan.anchor_edges:
         if not hadj[images[i]] >> images[j] & 1:
             return
-    img0 = 0
-    for x in images:
-        img0 |= 1 << x
+    img0 = _mask(images)
     avail = hv.full & ~used & ~img0
     degmask = hv.degmask
     masks = []

@@ -26,7 +26,7 @@ from .errors import (
     ConditionUnsatisfiableError,
     ParameterRangeError,
 )
-from .graphs import Graph
+from .graphs import Graph, _bits, _mask
 
 
 def _iv():
@@ -250,15 +250,11 @@ class IsoperimetricValue(NamedTuple):
 
 
 def boundary_count(g: Graph, s: Iterable[int]) -> int:
-    """x(S): edges with exactly one endpoint in S."""
-    smask = 0
-    for v in set(s):
-        smask |= 1 << v
-    x = 0
-    for u, v in g.edges:
-        if (smask >> u & 1) != (smask >> v & 1):
-            x += 1
-    return x
+    """x(S): edges with exactly one endpoint in S, the sum of |N(v) - S|
+    over v in S (labels of g.n or more count nothing)."""
+    smask = _mask(s)
+    adj = g._adj
+    return sum((adj[v] & ~smask).bit_count() for v in _bits(smask) if v < g.n)
 
 
 def i_alpha_exact(g: Graph, alpha, cap: int = 26) -> IsoperimetricValue:

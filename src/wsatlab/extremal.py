@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import BudgetExceededError, CapExceededError, ParameterRangeError
-from .graphs import Graph, complete_graph, disjoint_union, graph_to_graph6
+from .graphs import Graph, _mask, complete_graph, disjoint_union, graph_to_graph6
 from .isomorphism import IsoClassRegistry
 from .mincut import MaxFlow
 from .percolation import is_weakly_saturated
@@ -23,21 +23,16 @@ from .percolation import is_weakly_saturated
 
 def m_f(g: Graph, s: Iterable[int]) -> int:
     """Number of edges of g with at least one endpoint in s."""
-    smask = 0
-    for v in set(s):
+    s = set(s)
+    for v in s:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} outside graph")
-        smask |= 1 << v
-    degsum = 0
-    internal2 = 0
-    v = 0
-    m = smask
-    while m:
-        if m & 1:
-            degsum += g.degree(v)
-            internal2 += (g.adj_mask(v) & smask).bit_count()
-        m >>= 1
-        v += 1
+    smask = _mask(s)
+    adj, degs = g._adj, g.degrees
+    degsum = internal2 = 0
+    for v in s:
+        degsum += degs[v]
+        internal2 += (adj[v] & smask).bit_count()
     return degsum - internal2 // 2
 
 
@@ -288,9 +283,7 @@ def lemma23_sequence(
     target = gamma_of_set(f, s)
     if target != gamma_min_ratio(f).value:
         raise ValueError("s is not a gamma-minimizing set of f")
-    smask = 0
-    for v in s:
-        smask |= 1 << v
+    smask = _mask(s)
     f_work = f
     if not any(
         v not in s and g_adj & smask == 0
@@ -316,7 +309,9 @@ def lemma23_sequence(
     loc = {v: idx for idx, v in enumerate(outside)}
     loc.update((v, clique_size + idx) for idx, v in enumerate(sorted(s)))
     block = [(loc[x], loc[y]) for x, y in incident[1:]]
-    g = Graph(clique_size + len(s), list(clique.edges) + block)
+    g = Graph._from_adj(clique._adj + (0,) * len(s))
+    for e in block:
+        g = g.with_edge(*e)
     return replicate_component(g, range(clique_size, g.n), block, i - 1)
 
 
@@ -401,24 +396,26 @@ def replicate_component(
     original outside vertex; copies never see each other.
     """
     p0 = sorted(set(p0))
-    pset = set(p0)
-    if not pset <= set(range(g.n)):
+    if p0 and not (0 <= p0[0] and p0[-1] < g.n):
         raise ValueError("p0 must be a vertex subset of g")
+    if i < 0:
+        raise ValueError("block count must be nonnegative")
     rank = {v: idx for idx, v in enumerate(p0)}
     owned = [tuple(sorted(e)) for e in owned]
     for e in owned:
-        if e not in g.edges:
+        if len(e) != 2 or not (0 <= e[0] and e[1] < g.n and g.has_edge(*e)):
             raise ValueError(f"owned edge {e} is not an edge of g")
-        if e[0] not in pset and e[1] not in pset:
+        if e[0] not in rank and e[1] not in rank:
             raise ValueError(f"owned edge {e} has no end in p0")
-    edges = list(g.edges)
+    adj = list(g._adj) + [0] * (i * len(p0))
     for j in range(i):
         off = g.n + j * len(p0)
         for u, v in owned:
-            nu = off + rank[u] if u in pset else u
-            nv = off + rank[v] if v in pset else v
-            edges.append((nu, nv))
-    return Graph(g.n + i * len(p0), edges)
+            nu = off + rank[u] if u in rank else u
+            nv = off + rank[v] if v in rank else v
+            adj[nu] |= 1 << nv
+            adj[nv] |= 1 << nu
+    return Graph._from_adj(adj)
 
 
 def w_f_bounds(f: Graph) -> tuple[Fraction, Fraction]:

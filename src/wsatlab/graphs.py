@@ -198,11 +198,22 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask of a vertex set; the inverse of ``_bits``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 # -- generators -------------------------------------------------------------
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    full = (1 << n) - 1
+    return Graph._from_adj([full ^ 1 << v for v in range(n)])
 
 
 def empty_graph(n: int) -> Graph:

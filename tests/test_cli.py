@@ -271,6 +271,19 @@ def test_seed_falls_back_to_environment(capsys, monkeypatch):
     assert explicit["provenance"]["seed"] == explicit["inputs"]["seed"] == 4
 
 
+def test_bad_environment_seed_exits_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("WSATLAB_SEED", "abc")
+    for argv in (
+        ["expander", "sample", "--r", "3", "--n", "4"],
+        ["construct", "--family", "high-delta", "--delta", "6", "--ratio", "3",
+         "--k", "16"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: WSATLAB_SEED is not an integer: 'abc'\n"
+
+
 def test_only_expander_commands_load_numpy_or_mpmath(files):
     exact = [
         ["closure", files["star5"], "--pattern", files["k3"]],

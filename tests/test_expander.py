@@ -275,3 +275,6 @@ def test_boundary_additivity():
         smask = set(s)
         internal = sum(1 for u, v in g.edges if u in smask and v in smask)
         assert boundary_count(g, s) == sum(g.degree(v) for v in s) - 2 * internal
+        # the edge walk, over a list with repeats and a vertex outside g
+        walk = sum(1 for u, v in g.edges if (u in smask) != (v in smask))
+        assert boundary_count(g, s + s[:2] + [g.n]) == walk

@@ -59,6 +59,8 @@ def test_m_f():
     assert m_f(h, range(7)) == 15
     with pytest.raises(ValueError):
         m_f(k4, {9})
+    with pytest.raises(ValueError, match="^vertex -1 outside graph$"):
+        m_f(k4, {-1})
 
 
 def test_gamma_brute_examples():
@@ -395,6 +397,9 @@ def test_replicate_component():
         replicate_component(g, [1, 2], [(3, 4)], 1)
     with pytest.raises(ValueError):
         replicate_component(g, [1, 2], [(1, 2)], 1)  # not an edge of g
+    for p0, owned in [([1, 2], [(0, 1), (0, 2)]), ([], [])]:
+        with pytest.raises(ValueError, match="^block count must be nonnegative$"):
+            replicate_component(g, p0, owned, -1)
 
 
 def test_replicate_density_limit():

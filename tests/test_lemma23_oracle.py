@@ -2,6 +2,10 @@
 loop, kept verbatim as a reference. The current routine builds block 0 and
 hands it to replicate_component; both must give equal graphs, or raise the
 same error with the same message.
+
+replicate_component as it stood when it rebuilt its graph from an edge
+list is kept verbatim too; the current one ORs the copies into g's
+adjacency masks, and must agree with it in the same sense.
 """
 
 from __future__ import annotations
@@ -11,7 +15,12 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from wsatlab.extremal import gamma_min_ratio, gamma_of_set, lemma23_sequence
+from wsatlab.extremal import (
+    gamma_min_ratio,
+    gamma_of_set,
+    lemma23_sequence,
+    replicate_component,
+)
 from wsatlab.graphs import Graph, complete_graph, disjoint_union, path_graph, star_graph
 
 
@@ -80,6 +89,35 @@ def reference_lemma23_sequence(
     return Graph(clique_size + i * len(s_sorted), edges)
 
 
+def reference_replicate_component(
+    g: Graph, p0: Iterable[int], owned: Iterable[tuple[int, int]], i: int
+) -> Graph:
+    """g plus i fresh copies of the part p0 and the edges it owns.
+
+    Owned edges with one end outside p0 attach each copy to the same
+    original outside vertex; copies never see each other.
+    """
+    p0 = sorted(set(p0))
+    pset = set(p0)
+    if not pset <= set(range(g.n)):
+        raise ValueError("p0 must be a vertex subset of g")
+    rank = {v: idx for idx, v in enumerate(p0)}
+    owned = [tuple(sorted(e)) for e in owned]
+    for e in owned:
+        if e not in g.edges:
+            raise ValueError(f"owned edge {e} is not an edge of g")
+        if e[0] not in pset and e[1] not in pset:
+            raise ValueError(f"owned edge {e} has no end in p0")
+    edges = list(g.edges)
+    for j in range(i):
+        off = g.n + j * len(p0)
+        for u, v in owned:
+            nu = off + rank[u] if u in pset else u
+            nv = off + rank[v] if v in pset else v
+            edges.append((nu, nv))
+    return Graph(g.n + i * len(p0), edges)
+
+
 def outcome(fn, *args, **kwargs):
     """fn's graph, or the type and message of what it raised."""
     try:
@@ -118,3 +156,40 @@ def test_random_patterns_match_reference():
             else:
                 errors += 1
     assert built > 600 and errors > 400
+
+
+def test_replicate_component_matches_reference():
+    rng = random.Random("replicate oracle")
+    built = 0
+    kinds = ("p0 must be", "is not an edge", "has no end")
+    raised = {k: 0 for k in kinds}
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, [e for e in pairs if rng.random() < rng.choice([0.3, 0.6, 0.9])])
+        p0 = rng.sample(range(n), rng.randint(0, n))
+        if rng.random() < 0.05:
+            p0.append(rng.choice([-1, n, n + 3]))
+        edges = g.sorted_edges()
+        touching = [e for e in edges if e[0] in p0 or e[1] in p0]
+        owned = rng.sample(touching, rng.randint(0, len(touching)))
+        if rng.random() < 0.4:
+            # one bad entry, at a random place in the list
+            x = rng.randrange(n)
+            options = [
+                [e for e in pairs if e not in edges],  # non-edges of g
+                [e for e in edges if e not in touching],  # no end in p0
+                # loops, vertices outside g, and tuples that are not pairs
+                [(x, x), (x, n), (n, n + 1), (-1, x), (n + 2, -3), (x,), (0, x, n)],
+            ]
+            bad = rng.choice(rng.choice([o for o in options if o]))
+            owned.insert(rng.randint(0, len(owned)), bad)
+        owned = [e[::-1] if rng.random() < 0.5 else e for e in owned]
+        for i in range(4):
+            ref = outcome(reference_replicate_component, g, p0, owned, i)
+            assert outcome(replicate_component, g, p0, owned, i) == ref
+            if isinstance(ref, Graph):
+                built += 1
+            else:
+                raised[next(k for k in kinds if k in ref[1])] += 1
+    assert built > 1000 and min(raised.values()) > 50, (built, raised)
