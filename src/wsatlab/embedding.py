@@ -256,7 +256,9 @@ class _HostView:
     candidate x fails at some search position, its twins fail identically,
     so enumerations drop the whole class after trying one representative;
     in a mostly-complete host this collapses a hundred equivalent clique
-    vertices into one trial.
+    vertices into one trial. The searches read ``twins`` only once a
+    candidate has failed, so the classes are built on the first backtrack,
+    and a probe whose first candidates all succeed never builds them.
     """
 
     __slots__ = ("host", "adj", "deg", "full", "_degmasks", "_twins")
@@ -291,17 +293,23 @@ class _HostView:
         return self._twins
 
 
-def _iter_sets(cand: int, need: int, mutual_adj, twins):
+def _iter_sets(cand: int, need: int, mutual_adj, hv: _HostView):
     """Ascending ``need``-subsets of the candidate mask; with ``mutual_adj``
     (host adjacency) the chosen vertices must be pairwise adjacent.
 
     After a smallest element v is exhausted, its host twins are skipped at
     that position: any set led by a twin is the image of a set led by v
-    under a host automorphism.
+    under a host automorphism. The skip waits until the position is
+    tried again and still has room for the rest of a set; only then is
+    ``hv.twins`` read, so the host's twin classes are built on the first
+    backtrack that needs them. Dropping candidates never revives an
+    exhausted position, so the wait changes no set.
 
     Position k of the set keeps its candidate mask ``cands[k]`` (the
     common neighbors of the earlier choices) and the part of it still to
-    try, ``left[k]``, on explicit stacks.
+    try, ``left[k]``, on explicit stacks. ``failed`` is the element of the
+    top position that failed last, while its twins are still to skip, or
+    -1.
     """
     if need == 0:
         yield []
@@ -309,6 +317,7 @@ def _iter_sets(cand: int, need: int, mutual_adj, twins):
     chosen: list[int] = []
     cands = [cand]
     left = [cand]
+    failed = -1
     while left:
         k = len(chosen)
         mask = left[k]
@@ -316,19 +325,21 @@ def _iter_sets(cand: int, need: int, mutual_adj, twins):
         low = mask & -mask
         v = low.bit_length() - 1
         if not mask or (c >> v).bit_count() < need - k:
-            # position k is exhausted: back up and skip the twins of the
-            # element it extended
+            # position k is exhausted: back up to the element it extended
             left.pop()
             cands.pop()
-            if chosen:
-                v = chosen.pop()
-                left[k - 1] &= ~twins[v]
+            failed = chosen.pop() if chosen else -1
             continue
-        if k + 1 == need:
-            left[k] = mask & ~low & ~twins[v]
-            yield chosen + [v]
+        if failed >= 0:
+            left[k] = mask & ~hv.twins[failed]
+            failed = -1
             continue
         left[k] = mask ^ low
+        if k + 1 == need:
+            yield chosen + [v]
+            # resumed: the set led by v here failed
+            failed = v
+            continue
         chosen.append(v)
         nxt = c & mutual_adj[v] if mutual_adj is not None else c
         cands.append(nxt)
@@ -364,7 +375,7 @@ def _iter_clique_embeddings(comp, hv, used, images):
         cand &= hv.adj[x]
     cand &= ~base
     free_pat = comp.verts[len(images):]
-    for chosen in _iter_sets(cand, need, hv.adj, hv.twins):
+    for chosen in _iter_sets(cand, need, hv.adj, hv):
         mapping = dict(zip(comp.verts, images))
         mask = base
         for pv, x in zip(free_pat, chosen):
@@ -440,7 +451,7 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
             cand = _adjacency_core(cand, need - 1, hadj)
             if cand.bit_count() < need:
                 return
-        for chosen in _iter_sets(cand, need, hadj if is_true else None, hv.twins):
+        for chosen in _iter_sets(cand, need, hadj if is_true else None, hv):
             add_mask = 0
             for pv, x in zip(to_fill, chosen):
                 mapping[pv] = x
@@ -479,14 +490,10 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
             for m, c, need in zip(cmasks_now, classes, class_needs)
         ]
         total = len(rest) + class_total
-        twins = hv.twins
         cand = masks_now[besti]
         while cand:
             low = cand & -cand
             x = low.bit_length() - 1
-            # a failing candidate dooms its host twins identically
-            cand ^= low
-            cand &= ~twins[x]
             keep = ~low
             xadj = hadj[x]
             union = 0
@@ -514,6 +521,11 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
                         mapping[v] = x
                         yield sub_free, sub_masks, sub_cmasks, img_mask | low, 0
                         del mapping[v]
+            # x failed here, and a failing candidate dooms its host twins
+            # identically
+            cand ^= low
+            if cand:
+                cand &= ~hv.twins[x]
 
     frames = []
     node = (plan.free, masks, cmasks, img0, 0)

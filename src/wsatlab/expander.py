@@ -26,7 +26,7 @@ from .errors import (
     ConditionUnsatisfiableError,
     ParameterRangeError,
 )
-from .graphs import Graph, _bits, _mask
+from .graphs import Graph, _mask
 
 
 def _iv():
@@ -251,10 +251,14 @@ class IsoperimetricValue(NamedTuple):
 
 def boundary_count(g: Graph, s: Iterable[int]) -> int:
     """x(S): edges with exactly one endpoint in S, the sum of |N(v) - S|
-    over v in S (labels of g.n or more count nothing)."""
+    over v in S."""
+    s = set(s)
+    for v in s:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside graph")
     smask = _mask(s)
     adj = g._adj
-    return sum((adj[v] & ~smask).bit_count() for v in _bits(smask) if v < g.n)
+    return sum((adj[v] & ~smask).bit_count() for v in s)
 
 
 def i_alpha_exact(g: Graph, alpha, cap: int = 26) -> IsoperimetricValue:

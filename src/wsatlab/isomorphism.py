@@ -1,7 +1,8 @@
 """Graph isomorphism tests for dedup.
 
-Graphs are bucketed by a cheap invariant key, then tested exactly by a
-backtracking search over candidate masks that does not recurse.
+Graphs are bucketed by a cheap invariant key made of integers, then tested
+exactly by a backtracking search over candidate masks that does not
+recurse.
 """
 
 from __future__ import annotations
@@ -10,19 +11,43 @@ from .graphs import Graph
 
 
 def invariant_key(g: Graph) -> tuple:
-    """Isomorphism-invariant fingerprint: degree sequence, sorted
-    neighbor-degree multisets, and triangle count."""
-    degs = g.degrees
-    nbr_profiles = tuple(
-        sorted(
-            (degs[u], tuple(sorted(degs[w] for w in g.neighbors(u))))
-            for u in range(g.n)
-        )
-    )
+    """Isomorphism-invariant fingerprint: vertex count, edge count, the
+    sorted neighbor-degree codes of the vertices, and the triangle count.
+
+    The code of v is the sum of (n+1)^deg(w) over the neighbors w of v: its
+    base-(n+1) digits count the neighbors of each degree. No count exceeds
+    n - 1, so no digit carries, and the code determines the multiset of
+    neighbor degrees, and with it deg(v), the digit sum. Two graphs thus
+    get equal keys exactly when they agree on n, the edge count, the
+    multiset of (degree, sorted neighbor degrees) profiles and the
+    triangle count.
+
+    Each digit is one popcount of v's neighbors among the vertices of one
+    degree, so a dense graph with few distinct degrees costs about n
+    popcounts per degree, not one step per neighbor. Triangles are counted
+    in one walk over the edges, once per edge, so three times each.
+    """
+    n = g.n
+    adj = g._adj
+    of_degree = [0] * n
+    for v, d in enumerate(g.degrees):
+        of_degree[d] |= 1 << v
+    digits = [((n + 1) ** d, m) for d, m in enumerate(of_degree) if m]
+    codes = []
     tri = 0
-    for u, v in g.edges:
-        tri += (g.adj_mask(u) & g.adj_mask(v)).bit_count()
-    return (g.n, g.num_edges, nbr_profiles, tri // 3)
+    for v, row in enumerate(adj):
+        code = 0
+        for weight, m in digits:
+            code += weight * (row & m).bit_count()
+        codes.append(code)
+        # the neighbors above v
+        m = row >> v
+        while m:
+            low = m & -m
+            m ^= low
+            tri += (row & adj[v + low.bit_length() - 1]).bit_count()
+    codes.sort()
+    return (n, g.num_edges, tuple(codes), tri // 3)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -2,7 +2,8 @@
 twin orbit, search plans were compiled per pattern and the backtracking
 over components and set members moved onto explicit stacks, kept verbatim
 as a reference: the current search must return exactly the same copies,
-and hence the same closure traces.
+and hence the same closure traces, although it builds a host's twin
+classes only when it backs up.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsatlab import constructions, embedding, extremal, percolation
 from wsatlab.embedding import Embedding
@@ -527,9 +529,92 @@ def test_set_enumeration_matches_reference():
     for _ in range(300):
         host = rand_graph(rng, rng.randint(1, 12), rng.choice([0.3, 0.6, 0.9]))
         twins = _HostView(host).twins
+        hv = embedding._HostView(host)
         cand = rng.getrandbits(host.n)
         for need in range(5):
             for adj in (host._adj, None):
-                assert list(embedding._iter_sets(cand, need, adj, twins)) == list(
+                assert list(embedding._iter_sets(cand, need, adj, hv)) == list(
                     _iter_sets(cand, need, adj, twins)
                 )
+
+
+# -- host twin classes are built only when a search backs up -------------------
+
+
+@st.composite
+def hosts(draw):
+    """A random host, or a twin-rich one: a clique with pendant paths hung
+    on some of its vertices, plus a few random edges."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return rand_graph(rng, rng.randint(2, 11), rng.choice([0.2, 0.35, 0.5, 0.7]))
+    k = rng.randint(2, 7)
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    n = k
+    for _ in range(rng.randint(0, 3)):
+        end = rng.randrange(k)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((end, n))
+            end = n
+            n += 1
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((min(u, v), max(u, v)))
+    return Graph(n, edges)
+
+
+@st.composite
+def patterns(draw):
+    """A named pattern, or a disjoint union of one to three small random
+    graphs."""
+    if draw(st.booleans()):
+        return SMALL_PATTERNS[draw(st.sampled_from(sorted(SMALL_PATTERNS)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    parts = [
+        rand_graph(rng, rng.randint(1, 4), rng.choice([0.5, 0.8]))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return disjoint_union(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts(), patterns())
+def test_lazy_twins_return_the_reference_copies(host, pattern):
+    assert embedding.find_any_embedding(pattern, host) == find_any_embedding(
+        pattern, host
+    )
+    for forced in sorted(host.edges):
+        assert embedding.find_new_copy(pattern, host, forced) == find_new_copy(
+            pattern, host, forced
+        )
+
+
+def host_twin_builds(monkeypatch, host, pattern) -> int:
+    """Host twin-class builds in closure(host, pattern); a search that built
+    them for every probe would build one per probe."""
+    embedding._pattern_info(pattern)  # the pattern's own classes, cached
+    builds = 0
+    real = embedding.twin_classes
+
+    def counted(g):
+        nonlocal builds
+        builds += 1
+        return real(g)
+
+    with monkeypatch.context() as m:
+        m.setattr(embedding, "twin_classes", counted)
+        percolation.closure(host, pattern)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "host, pattern, builds",
+    [
+        # 21 probes, each a hit on its first candidate
+        (path_graph(8), complete_graph(3), 0),
+        # miss-heavy: 67 probes, 8 hits
+        (cycle_graph(8), cycle_graph(4), 59),
+    ],
+)
+def test_host_twin_builds(host, pattern, builds, monkeypatch):
+    assert host_twin_builds(monkeypatch, host, pattern) == builds

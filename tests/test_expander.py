@@ -275,6 +275,9 @@ def test_boundary_additivity():
         smask = set(s)
         internal = sum(1 for u, v in g.edges if u in smask and v in smask)
         assert boundary_count(g, s) == sum(g.degree(v) for v in s) - 2 * internal
-        # the edge walk, over a list with repeats and a vertex outside g
+        # the edge walk, over a list with repeats; a label outside g raises
         walk = sum(1 for u, v in g.edges if (u in smask) != (v in smask))
-        assert boundary_count(g, s + s[:2] + [g.n]) == walk
+        assert boundary_count(g, s + s[:2]) == walk
+        for bad in (g.n, -1):
+            with pytest.raises(ValueError, match=f"^vertex {bad} outside graph$"):
+                boundary_count(g, s + [bad])
