@@ -249,11 +249,15 @@ def build_f_tilde(
         raise CapExceededError(
             f"{q} non-edges would give 2^{q} components (cap {max_nonedges})"
         )
-    base = list(fp.edges)
     comps = []
     for bits in range(1 << q):
-        extra = [nonedges[i] for i in range(q) if bits >> i & 1]
-        comps.append(Graph(fp.n, base + extra))
+        adj = list(fp._adj)
+        for i in range(q):
+            if bits >> i & 1:
+                u, v = nonedges[i]
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        comps.append(Graph._from_adj(adj))
     if dedup:
         reg = IsoClassRegistry()
         comps = [c for c in comps if reg.add(c)]

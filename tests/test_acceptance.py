@@ -121,8 +121,9 @@ def test_criterion_5_counterexample():
         assert gi.n == g0.n + 7 * i and gi.num_edges == g0.num_edges + 15 * i
     assert c > 0
     assert is_weakly_saturated(counterexample_host(1), pattern)
+    assert is_weakly_saturated(counterexample_host(2), pattern)
     print(f"ACCEPTANCE 5 PASS: gamma(F) = 2 while the host family attains "
-          f"15/7 in the limit and G_1 percolates [{time.time()-t0:.1f}s]")
+          f"15/7 in the limit and G_1, G_2 percolate [{time.time()-t0:.1f}s]")
 
 
 def test_criterion_6_rotation_preservation():

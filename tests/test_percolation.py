@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from test_embedding_oracle import hosts, patterns
 from wsatlab.errors import (
     BudgetExceededError,
     EmptyOwnershipError,
@@ -15,6 +17,7 @@ from wsatlab.graphs import (
     cycle_graph,
     empty_graph,
     star_graph,
+    twin_classes,
 )
 from wsatlab.percolation import (
     ActivationPartition,
@@ -273,3 +276,71 @@ def test_closure_probes_each_non_edge_once(small, big, i, calls, hits, monkeypat
     tr = closure(counterexample_host(i, clique_small=small, clique_big=big), pattern)
     assert (len(probes), sum(probes)) == (calls, hits)
     assert len(tr.steps) == hits
+
+
+def record_probes(monkeypatch):
+    """Patch percolation's find_new_copy to log (forced edge, host, hit)."""
+    from wsatlab import percolation
+
+    probes = []
+    find = percolation.find_new_copy
+
+    def recording(pattern, host, forced_edge):
+        emb = find(pattern, host, forced_edge)
+        probes.append((forced_edge, host, emb is not None))
+        return emb
+
+    monkeypatch.setattr(percolation, "find_new_copy", recording)
+    return probes
+
+
+def test_sweep_adds_a_hit_s_twin_orbit(monkeypatch):
+    # the leaves of a star are false twins: the first probe, (1, 2), hits,
+    # and its orbit is every other pair of leaves
+    probes = record_probes(monkeypatch)
+    tr = closure(star_graph(5), K3, lex_first=False)
+    assert [(e, hit) for e, _, hit in probes] == [((1, 2), True)]
+    assert [e for e, _ in tr.steps] == [
+        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
+    ]
+    tr.validate()
+    assert tr.terminal() == complete_graph(5)
+
+
+def twins(g, u):
+    return next((c for _, c in twin_classes(g) if u in c), (u,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts(), patterns())
+def test_sweep_reaches_the_lex_first_terminal_graph(host, pattern):
+    with pytest.MonkeyPatch.context() as m:
+        probes = record_probes(m)
+        sweep = closure(host, pattern, lex_first=False)
+    lex = closure(host, pattern)
+    assert sweep.terminal() == lex.terminal()
+    sweep.validate()
+    assert is_weakly_saturated(host, pattern) == lex.is_complete()
+    # a hit certifies its twin orbit in the graph before the hit, so no
+    # pair of that orbit is probed afterwards
+    certified = set()
+    for (u, v), g2, hit in probes:
+        assert (u, v) not in certified
+        if hit:
+            g = g2.without_edge(u, v)
+            certified |= {
+                (min(x, y), max(x, y))
+                for x in twins(g, u) for y in twins(g, v) if x != y
+            }
+
+
+@pytest.mark.parametrize("i, calls, hits", [(1, 764, 9), (2, 1578, 25)])
+def test_sweep_probes_on_the_counterexample_hosts(i, calls, hits, monkeypatch):
+    # the lex-first closure makes 6004 probes on i = 1 and 294,833 on i = 2;
+    # each sweep hit adds its twin orbit, so most edges cost no probe
+    from wsatlab.constructions import counterexample_15_7, counterexample_host
+
+    probes = record_probes(monkeypatch)
+    tr = closure(counterexample_host(i), counterexample_15_7().graph, lex_first=False)
+    assert (len(probes), sum(hit for _, _, hit in probes)) == (calls, hits)
+    assert tr.is_complete()
