@@ -96,6 +96,16 @@ class ConditionValue:
     satisfied: bool  # rigorous: sup(lhs) < inf(rhs)
 
 
+def _outward(x) -> tuple[float, float]:
+    """sup(x) and inf(x) as floats rounded outward, in that order."""
+    from mpmath.libmp import to_rational
+
+    lo, hi = (Fraction(*to_rational(e)) for e in x._mpi_)
+    inf, sup = float(lo), float(hi)  # rounded to nearest
+    return (sup if sup >= hi else math.nextafter(sup, math.inf),
+            inf if inf <= lo else math.nextafter(inf, -math.inf))
+
+
 def evaluate_condition(alpha, r: int, eta) -> ConditionValue:
     alpha, eta = Fraction(alpha), Fraction(eta)
     lhs = condition_lhs(alpha, r)
@@ -104,10 +114,8 @@ def evaluate_condition(alpha, r: int, eta) -> ConditionValue:
         alpha,
         r,
         eta,
-        float(lhs.b),
-        float(lhs.a),
-        float(rhs.b),
-        float(rhs.a),
+        *_outward(lhs),
+        *_outward(rhs),
         satisfied=bool(lhs.b < rhs.a),
     )
 

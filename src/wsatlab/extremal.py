@@ -242,13 +242,16 @@ def build_f_tilde(
         clique_pad = f.n + 2
     if clique_pad < 0:
         raise ParameterRangeError("clique_pad must be nonnegative")
-    fp = disjoint_union([f, complete_graph(clique_pad)]) if clique_pad else f
-    nonedges = sorted(fp.non_edges())
-    q = len(nonedges)
+    if max_nonedges < 0:
+        raise ParameterRangeError("max_nonedges must be nonnegative")
+    # the pad clique is complete and sees no vertex of f: count before building
+    q = f.n * (f.n - 1) // 2 - f.num_edges + f.n * clique_pad
     if q > max_nonedges:
         raise CapExceededError(
             f"{q} non-edges would give 2^{q} components (cap {max_nonedges})"
         )
+    fp = disjoint_union([f, complete_graph(clique_pad)]) if clique_pad else f
+    nonedges = sorted(fp.non_edges())
     comps = []
     for bits in range(1 << q):
         adj = list(fp._adj)

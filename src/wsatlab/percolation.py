@@ -1,14 +1,11 @@
 """Bootstrap percolation closure and the rotation machinery.
 
-The closure runs in one of two orders. The lex-first order (the default)
-repeatedly rescans non-edges in ascending lexicographic order and adds the
-first one that completes a new copy of the pattern, recording the
-witnessing embedding; traces, activation partitions, and rotations depend
-on this fixed deterministic order. The sweep order scans the non-edges
-once per pass, keeps scanning after each hit, and with each hit also adds
-the hit's whole twin orbit. The closure graph itself is order-independent
-(monotone process), so ``is_weakly_saturated``, which needs only that
-graph, runs the sweep.
+``closure`` repeatedly rescans non-edges in ascending lexicographic order
+and adds the first one that completes a new copy of the pattern, recording
+the witnessing embedding; traces, activation partitions, and rotations
+depend on this fixed deterministic order. The closure graph itself is
+order-independent (monotone process), so ``is_weakly_saturated`` runs a
+faster sweep that adds whole twin orbits and records no witnesses.
 
 "New copy" is implemented as "a copy whose image contains the added edge":
 a copy absent before the addition must use the new edge, and conversely any
@@ -86,28 +83,13 @@ class PercolationTrace:
         return cls(host, pattern, tuple(steps))
 
 
-def closure(
-    host: Graph, pattern: Graph, *, lex_first: bool = True
-) -> PercolationTrace:
+def closure(host: Graph, pattern: Graph) -> PercolationTrace:
     """Run the percolation process to its maximal graph.
 
-    With ``lex_first`` each pass scans non-edges in ascending lexicographic
-    order and adds the first that admits a new copy; the process stops when
-    a full scan adds nothing.
-
-    Without it, each pass scans the non-edges in the same order but keeps
-    scanning after a hit, and passes repeat until one adds nothing or the
-    graph is complete. A hit on uv with witness phi in the current graph g
-    also adds every missing pair xy with x a twin of u and y a twin of v in
-    g (equal open or equal closed neighbourhoods), before the scan moves
-    on. With t the image of v under the swap (u x), the map s = (t y)(u x)
-    is an automorphism of g carrying uv to xy, so s o phi is a new copy
-    through xy in every supergraph of g + xy, and the trace still
-    validates. The terminal graph is the same in both orders; the steps and
-    their witnesses are not.
+    Each pass scans non-edges in ascending lexicographic order and adds the
+    first that admits a new copy; the process stops when a full scan adds
+    nothing.
     """
-    if not lex_first:
-        return PercolationTrace(host, pattern, tuple(_sweep(host, pattern)))
     g = host
     steps = []
     while True:
@@ -125,38 +107,39 @@ def closure(
     return PercolationTrace(host, pattern, tuple(steps))
 
 
-def _sweep(host: Graph, pattern: Graph) -> list:
-    """The steps of the sweep-order closure (see ``closure``)."""
+def _sweep(host: Graph, pattern: Graph) -> list[tuple[int, int]]:
+    """The edges a closure in sweep order adds, in that order: each pass
+    scans the non-edges lexicographically without stopping at a hit, and a
+    hit on uv in g also adds every missing xy with x a twin of u and y a
+    twin of v in g (equal open or closed neighbourhoods). A product of two
+    twin swaps is an automorphism of g carrying uv to xy, so xy completes
+    a new copy too.
+    """
     g = host
-    steps = []
-    added = True
-    while added and not g.is_complete():
-        added = False
+    adj = list(host._adj)
+    added: list[tuple[int, int]] = []
+    grew = True
+    while grew and not g.is_complete():
+        grew = False
         for u, v in itertools.combinations(range(g.n), 2):
-            if g.has_edge(u, v):
+            if adj[u] >> v & 1:
                 continue
-            g2 = g.with_edge(u, v)
-            emb = find_new_copy(pattern, g2, (u, v))
-            if emb is None:
+            if find_new_copy(pattern, g.with_edge(u, v), (u, v)) is None:
                 continue
-            steps.append(((u, v), emb))
-            added = True
+            grew = True
             # twins in g: once uv is in, u and v have new neighbours
             xs, ys = _twins(g, u, v)
-            adj = list(g2._adj)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            added.append((u, v))
             for x in xs:
-                t = u if v == x else v  # (u x) applied to v
-                m = [x if w == u else u if w == x else w for w in emb.mapping]
                 for y in ys:
-                    if x == y or adj[x] >> y & 1:
-                        continue
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-                    g2 = Graph._from_adj(adj)
-                    mapping = tuple([y if w == t else t if w == y else w for w in m])
-                    steps.append((_norm_edge(x, y), Embedding(pattern, g2, mapping)))
-            g = g2
-    return steps
+                    if x != y and not adj[x] >> y & 1:
+                        adj[x] |= 1 << y
+                        adj[y] |= 1 << x
+                        added.append(_norm_edge(x, y))
+            g = Graph._from_adj(adj)
+    return added
 
 
 def _twins(g: Graph, u: int, v: int) -> tuple[list[int], list[int]]:
@@ -177,9 +160,8 @@ def _twins(g: Graph, u: int, v: int) -> tuple[list[int], list[int]]:
 
 def is_weakly_saturated(host: Graph, pattern: Graph) -> bool:
     """True iff the closure of host under the pattern is complete. Only the
-    closure graph matters, so this runs the sweep order and counts steps."""
-    steps = closure(host, pattern, lex_first=False).steps
-    return host.num_edges + len(steps) == host.n * (host.n - 1) // 2
+    closure graph matters, so this runs the sweep and counts its edges."""
+    return host.num_edges + len(_sweep(host, pattern)) == host.n * (host.n - 1) // 2
 
 
 # -- activation partitions ----------------------------------------------------

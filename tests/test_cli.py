@@ -169,6 +169,12 @@ def test_ftilde(files, capsys):
     code, rep = run(capsys, ["ftilde", files["c4"], "--pad", "0", "--dedup"])
     assert rep["results"]["vertices"] == 12
     assert rep["results"]["semantics"] == "isomorphism-reduced"
+    # a cap of 0 admits K3, which has no non-edge
+    code, rep = run(capsys, ["ftilde", files["k3"], "--pad", "0", "--max-nonedges", "0"])
+    assert code == 0 and rep["results"]["vertices"] == 3
+    code, rep = run(capsys, ["ftilde", files["c4"], "--pad", "0", "--max-nonedges", "1"])
+    assert code == 3 and rep["results"]["inconclusive"]
+    assert rep["results"]["message"] == "2 non-edges would give 2^2 components (cap 1)"
 
 
 def test_expander_subcommands(capsys):
@@ -241,6 +247,8 @@ def test_bad_input_exits_with_one_line(files, capsys):
         # a work cap below 1 is a caller mistake, not an inconclusive run
         (["wsat", "--n", "3", "--pattern", files["k3"], "--budget", "-1"], "budget"),
         (["wsat", "--n", "3", "--pattern", files["k3"], "--budget", "0"], "budget"),
+        (["ftilde", files["c4"], "--pad", "0", "--max-nonedges", "-1"],
+         "max_nonedges must be nonnegative"),
         (["expander", "sample", "--r", "3", "--n", "10", "--attempts", "0"],
          "max_attempts"),
         (["construct", "--family", "high-delta", "--delta", "6", "--ratio", "3",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -7,7 +8,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import to_rational
 
 import wsatlab
 from wsatlab.errors import BudgetExceededError, CapExceededError, ParameterRangeError
@@ -77,6 +80,44 @@ def test_condition_value_is_rigorous():
     assert cv.lhs_inf <= cv.lhs_sup and cv.rhs_inf <= cv.rhs_sup
     if cv.satisfied:
         assert cv.lhs_sup < cv.rhs_inf
+
+
+def exact(point):
+    return Fraction(*to_rational(point._mpi_[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=1000)
+    .filter(lambda a: a > 0),
+    st.integers(3, 8),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+def test_condition_floats_enclose_the_intervals(alpha, r, eta):
+    # each float endpoint lies outside its 120-bit interval, and is the
+    # nearest float that does
+    cv = evaluate_condition(alpha, r, eta)
+    for x, inf, sup in [
+        (condition_lhs(alpha, r), cv.lhs_inf, cv.lhs_sup),
+        (condition_rhs(alpha, eta), cv.rhs_inf, cv.rhs_sup),
+    ]:
+        assert inf <= exact(x.a) < math.nextafter(inf, math.inf)
+        assert math.nextafter(sup, -math.inf) < exact(x.b) <= sup
+    if cv.lhs_sup < cv.rhs_inf:
+        assert cv.satisfied
+
+
+def test_condition_verdicts_on_the_eta_oracle_grid():
+    # the verdict stays the 120-bit test sup(lhs) < inf(rhs); the float
+    # brackets only report it
+    alphas = ["1/2", "2/5", "1/3", "1/4", "0.13", "0.3", "0.05", "0.481"]
+    for alpha in map(Fraction, alphas):
+        for r in (3, 4, 5, 6, 8):
+            lhs = condition_lhs(alpha, r)
+            for eta in (Fraction(k, 20) for k in range(21)):
+                cv = evaluate_condition(alpha, r, eta)
+                assert cv.satisfied == (lhs.b < condition_rhs(alpha, eta).a)
+                assert cv.lhs_inf < cv.lhs_sup  # no bracket collapses to a point
 
 
 def test_precision_ignores_caller_iv_prec(monkeypatch):

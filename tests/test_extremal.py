@@ -260,6 +260,22 @@ def test_f_tilde_examples():
         build_f_tilde(cycle_graph(4))  # default pad blows past the cap
 
 
+def test_f_tilde_checks_the_cap_before_building(monkeypatch):
+    from wsatlab import extremal
+
+    def refuse(*args):
+        raise AssertionError("built a graph for an over-cap input")
+
+    monkeypatch.setattr(extremal, "disjoint_union", refuse)
+    monkeypatch.setattr(extremal, "complete_graph", refuse)
+    # C4 has 2 non-edges, and each of its 4 vertices misses the whole pad
+    with pytest.raises(CapExceededError) as exc:
+        build_f_tilde(cycle_graph(4), clique_pad=10**6)
+    assert str(exc.value) == (
+        "4000002 non-edges would give 2^4000002 components (cap 14)"
+    )
+
+
 def test_f_tilde_dedup_is_smaller():
     lit = build_f_tilde(cycle_graph(4), clique_pad=0)
     dd = build_f_tilde(cycle_graph(4), clique_pad=0, dedup=True)

@@ -11,6 +11,7 @@ from wsatlab.errors import (
     InactiveVertexError,
     TraceIncompleteError,
 )
+from wsatlab.embedding import find_new_copy
 from wsatlab.graphs import (
     Graph,
     complete_graph,
@@ -23,6 +24,7 @@ from wsatlab.percolation import (
     ActivationPartition,
     Part,
     PercolationTrace,
+    _sweep,
     a_matching,
     activation_partition,
     closure,
@@ -298,13 +300,9 @@ def test_sweep_adds_a_hit_s_twin_orbit(monkeypatch):
     # the leaves of a star are false twins: the first probe, (1, 2), hits,
     # and its orbit is every other pair of leaves
     probes = record_probes(monkeypatch)
-    tr = closure(star_graph(5), K3, lex_first=False)
+    added = _sweep(star_graph(5), K3)
     assert [(e, hit) for e, _, hit in probes] == [((1, 2), True)]
-    assert [e for e, _ in tr.steps] == [
-        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
-    ]
-    tr.validate()
-    assert tr.terminal() == complete_graph(5)
+    assert added == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def twins(g, u):
@@ -313,13 +311,19 @@ def twins(g, u):
 
 @settings(max_examples=300, deadline=None)
 @given(hosts(), patterns())
-def test_sweep_reaches_the_lex_first_terminal_graph(host, pattern):
+def test_sweep_reaches_the_closure_terminal_graph(host, pattern):
     with pytest.MonkeyPatch.context() as m:
         probes = record_probes(m)
-        sweep = closure(host, pattern, lex_first=False)
+        added = _sweep(host, pattern)
     lex = closure(host, pattern)
-    assert sweep.terminal() == lex.terminal()
-    sweep.validate()
+    # replay: each edge, orbit edges included, completes a new copy in the
+    # graph right after it goes in
+    g = host
+    for e in added:
+        assert not g.has_edge(*e)
+        g = g.with_edge(*e)
+        assert find_new_copy(pattern, g, e) is not None
+    assert g == lex.terminal()
     assert is_weakly_saturated(host, pattern) == lex.is_complete()
     # a hit certifies its twin orbit in the graph before the hit, so no
     # pair of that orbit is probed afterwards
@@ -341,6 +345,5 @@ def test_sweep_probes_on_the_counterexample_hosts(i, calls, hits, monkeypatch):
     from wsatlab.constructions import counterexample_15_7, counterexample_host
 
     probes = record_probes(monkeypatch)
-    tr = closure(counterexample_host(i), counterexample_15_7().graph, lex_first=False)
+    assert is_weakly_saturated(counterexample_host(i), counterexample_15_7().graph)
     assert (len(probes), sum(hit for _, _, hit in probes)) == (calls, hits)
-    assert tr.is_complete()

@@ -70,15 +70,15 @@ def reference_wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResul
 def counted(monkeypatch, solve, n, f):
     """solve(n, f) and the number of closures it ran."""
     closures = 0
-    real = percolation.closure
+    real = percolation._sweep
 
-    def closure(*args, **kwargs):
+    def sweep(*args, **kwargs):
         nonlocal closures
         closures += 1
         return real(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(percolation, "closure", closure)
+        m.setattr(percolation, "_sweep", sweep)
         res = solve(n, f)
     return res, closures
 
