@@ -5,7 +5,10 @@ gamma(S) = (m(S) - 1)/|S| where m(S) counts pattern edges meeting S; its
 minimum over nonempty S lower-bounds the weak saturation limit. Two
 independent solvers are provided: exhaustive branch-and-bound, and a
 polynomial Dinkelbach iteration whose inner step is a project-selection
-minimum cut, all in exact rational arithmetic.
+minimum cut, all in exact rational arithmetic. Each cut is taken on a
+density network with one node per vertex plus a source and a sink
+(Goldberg 1984), at twice the integer scale of the ratio, starting from a
+greedy flow that hands each edge's weight to its endpoints in edge order.
 """
 
 from __future__ import annotations
@@ -120,41 +123,63 @@ def gamma_min_brute(g: Graph, cap: int = 20) -> GammaResult:
 
 
 class _SubproblemNetwork:
-    """Min over S of b*m(S) - a*|S|, S possibly empty, via project selection.
+    """Min over S of b*m(S) - a*|S|, S possibly empty, by one minimum cut.
 
-    Maximizes b*e(T) - a*|T| over complements T = V - S on a source, edge,
-    vertex, sink network: source -> edge i with capacity b, edge i -> each
-    endpoint with infinite capacity, vertex -> sink with capacity a. The
-    arcs are built once; each solve only resets the capacity list. ``solve``
-    returns the largest minimizer, the complement of the residual-reachable
-    (minimal) source side, so it is the empty set exactly when that is the
-    unique optimum. ``forced`` pins one vertex into S (out of T) with an
-    infinite sink capacity.
+    The network is Goldberg's density network on the complement X = V - S:
+    nodes s, the n vertices and t; one undirected arc pair of capacity b
+    per edge; s -> v of capacity max(w_v, 0) and v -> t of capacity
+    max(-w_v, 0), where w_v = b*deg(v) - 2a. As 2(a|X| - b*e(X)) equals b
+    times the edges leaving X minus the sum of w_v over X, the cut with
+    source side {s} + X costs 2(b*m(S) - a*|S|) plus a constant, so its
+    minimum cuts are the minimizers. The arcs are built once; each solve
+    only resets the capacity list. ``solve`` returns the largest minimizer,
+    the complement of the residual-reachable (minimal) source side, so it
+    is the empty set exactly when that is the unique optimum. ``forced``
+    pins one vertex into S (out of X): its w is minus infinity, which gives
+    it no source arc and an infinite sink arc. A ``forced`` vertex is on the
+    sink side of every finite cut, so dropping its source arc takes the same
+    amount off each of them.
+
+    The start flow is a greedy one: in edge order, each edge hands its b
+    units to the room left at its first endpoint and then at its second,
+    every vertex having room a (the forced one unbounded). An edge that
+    hands x to u and y to v carries the net shift y - x from u to v, and
+    each vertex's two terminal arcs are raised by the least offset c_v >= 0
+    that lets them balance what its edges carry. Raising both terminal arcs
+    of v by c_v adds c_v to every cut, so the minimum cuts, and the set
+    read off, do not change.
     """
 
     def __init__(self, edges, n):
         self.edges, self.n = edges, n
-        m = len(edges)
-        self.net = MaxFlow(m + n + 2)
-        # arc layout: edge i owns arcs 6i (from the source), 6i+2 and 6i+4
-        # (to its endpoints); vertex v's sink arc is 6m+2v
-        for i, (u, v) in enumerate(edges):
-            self.net.add_edge(0, 1 + i, 0)
-            self.net.add_edge(1 + i, 1 + m + u, 0)
-            self.net.add_edge(1 + i, 1 + m + v, 0)
+        deg = [0] * n
+        self.net = MaxFlow(n + 2)
+        # arc layout: vertex v's source arc is 4v and its sink arc 4v+2;
+        # edge i is the arc pair 4n+2i, 4n+2i+1
         for v in range(n):
-            self.net.add_edge(1 + m + v, 1 + m + n, 0)
+            self.net.add_edge(0, 1 + v, 0)
+            self.net.add_edge(1 + v, n + 1, 0)
+        for u, v in edges:
+            self.net.add_edge(1 + u, 1 + v, 0)
+            deg[u] += 1
+            deg[v] += 1
+        self.deg = deg
 
     def solve(self, a: int, b: int, forced: int | None = None) -> frozenset[int]:
         edges, n, net = self.edges, self.n, self.net
-        m = len(edges)
-        inf = (a + b) * (m + n) + 1
-        room = [a] * n  # sink capacity left unused by the greedy flow
+        # The cut with source side {s} crosses only source arcs, each of
+        # capacity w+ + c_v <= 2b*deg(v): w+ <= b*deg(v) as a >= 0, and c_v
+        # is at most the net shift, |d| <= b*deg(v). So it costs at most 4bm;
+        # a cut through an infinite arc costs more, and no minimum cut has
+        # one, even where some sink arc 2a - b*deg(v) is larger than inf.
+        inf = 4 * b * len(edges) + 1
+        room = [a] * n  # load that each vertex can still take
+        w = [b * d - 2 * a for d in self.deg]
         if forced is not None:
             room[forced] = inf
-        cap = [b, 0, inf, 0, inf, 0] * m + [a, 0] * n
-        # greedy flow: each edge node sends its b, in edge order, to the
-        # room left at its first endpoint and then at its second
+            w[forced] = -inf
+        shift = [0] * n  # net flow each vertex sends over its edges
+        edge_cap = [b] * (2 * len(edges))
         k = 0
         for u, v in edges:
             ru, rv = room[u], room[v]
@@ -163,26 +188,36 @@ class _SubproblemNetwork:
                 y = b - x if rv > b - x else rv
                 room[u] = ru - x
                 room[v] = rv - y
-                cap[k:k + 6] = (b - x - y, x + y, inf - x, x, inf - y, y)
-            k += 6
-        for v in range(n):
-            full = inf if v == forced else a
-            cap[k] = room[v]
-            cap[k + 1] = full - room[v]
+                g = y - x
+                shift[u] += g
+                shift[v] -= g
+                edge_cap[k] = b - g
+                edge_cap[k + 1] = b + g
             k += 2
+        # a vertex whose edges send d on balances it with max(d, 0) on its
+        # source arc and max(-d, 0) on its sink arc; after the least offset
+        # those arcs have max(w - d, 0) and max(d - w, 0) left
+        cap = []
+        for wv, d in zip(w, shift):
+            e = wv - d
+            cap += (e if e > 0 else 0, d if d > 0 else 0,
+                    -e if e < 0 else 0, -d if d < 0 else 0)
+        cap += edge_cap
         net.cap = cap
-        net.max_flow(0, 1 + m + n)
+        net.max_flow(0, n + 1)
         level = net.level
-        return frozenset(v for v in range(n) if level[1 + m + v] < 0)
+        return frozenset(v for v in range(n) if level[1 + v] < 0)
 
 
 def gamma_min_ratio(g: Graph) -> GammaResult:
     """Exact minimum of gamma(S) by Dinkelbach iteration over minimum cuts.
 
     For a trial ratio lambda = a/b, the subproblem min over nonempty S of
-    m(S) - lambda*|S| is solved by a source-edge-vertex-sink cut network
-    with capacities scaled to integers by b; lambda descends through
-    attained gamma values until the subproblem optimum hits zero.
+    m(S) - lambda*|S| is one minimum cut of the source-vertex-sink network
+    of ``_SubproblemNetwork``, with integer capacities at scale 2b; when
+    the empty set is the unique unforced optimum, one cut per forced
+    vertex finds the best nonempty S. lambda descends through attained
+    gamma values until the subproblem optimum hits zero.
     """
     n = g.n
     if n == 0:

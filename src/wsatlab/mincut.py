@@ -8,6 +8,11 @@ feasible flow, for instance to re-solve with other capacities on the same
 arcs or to start from a greedy flow, and ``max_flow`` augments it to a
 maximum one.
 
+One ``add_edge`` pair may also stand for an undirected edge of capacity c,
+which carries up to c units either way: write c into both residual slots,
+or c - g and c + g for a flow g already on the edge from u to v
+(|g| <= c). A cut then pays c for the edge whichever way it crosses.
+
 Cuts do not depend on which maximum flow is found: the final level search
 of ``max_flow`` leaves ``level[v] >= 0`` exactly for the nodes reachable
 from the source in the residual graph, and ``source_side`` returns them.

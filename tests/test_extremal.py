@@ -4,6 +4,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsatlab.constructions import (
     build_delta3,
@@ -13,6 +14,7 @@ from wsatlab.constructions import (
 )
 from wsatlab.errors import BudgetExceededError, CapExceededError, ParameterRangeError
 from wsatlab.extremal import (
+    _SubproblemNetwork,
     build_f_tilde,
     gamma_min_brute,
     gamma_min_ratio,
@@ -243,12 +245,55 @@ def oracle_cases():
     # long residual paths
     yield path_graph(60)
     yield Graph(60, [(rng.randrange(v), v) for v in range(1, 60)])
+    # shapes where the greedy start leaves long detours or lopsided loads
+    yield cycle_graph(41)
+    yield star_graph(25)
+    yield disjoint_union([complete_graph(6), path_graph(15)])
+    yield build_f_tilde(cycle_graph(5), clique_pad=0)
 
 
 def test_gamma_ratio_matches_cold_network_oracle():
     for g in oracle_cases():
         res = gamma_min_ratio(g)
         assert (res.value, res.witness, res.nodes_explored) == gamma_min_ratio_cold(g)
+
+
+@st.composite
+def subproblem_instances(draw):
+    """(edges, n, queries): a graph on at most 12 vertices, its edges in any
+    order and orientation, and solve(a, b, forced) arguments."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+    ratio = st.integers(1, 20).flatmap(lambda b: st.tuples(st.integers(0, 13 * b), st.just(b)))
+    forced = st.none() | st.integers(0, n - 1)
+    queries = draw(st.lists(st.tuples(ratio, forced), min_size=1, max_size=6))
+    return edges, n, queries
+
+
+@settings(deadline=None, max_examples=300)
+@given(subproblem_instances())
+def test_subproblem_network_matches_cold_oracle(case):
+    edges, n, queries = case
+    # one network answers every query in turn, so left-over state would show
+    net = _SubproblemNetwork(edges, n)
+    for (a, b), forced in queries:
+        assert net.solve(a, b, forced) == cold_subproblem(edges, n, a, b, forced)
+
+
+def test_forced_vertex_is_never_on_the_source_side():
+    # vertex 5 is isolated; at a = 1000, b = 1 the unforced sink arcs
+    # 2a - b*deg(v) are far larger than the forced vertex's infinite one
+    g = disjoint_union([complete_graph(5), Graph(1), path_graph(4)])
+    edges = g.sorted_edges()
+    net = _SubproblemNetwork(edges, g.n)
+    for a, b in [(0, 1), (1, 3), (7, 4), (9, 2), (1000, 1), (3, 1000)]:
+        for v in range(g.n):
+            s = net.solve(a, b, forced=v)
+            assert v in s
+            assert s == cold_subproblem(edges, g.n, a, b, forced=v)
 
 
 def test_f_tilde_examples():

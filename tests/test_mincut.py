@@ -94,3 +94,48 @@ def test_long_path_needs_no_recursion():
         net.add_edge(v, v + 1, 3 if v % 7 else 5)
     assert net.max_flow(0, n - 1) == 3
     assert net.source_side() == {0, 1}
+
+
+@st.composite
+def mixed_networks(draw):
+    """(n, arcs, pairs): directed arcs plus undirected edges (u, v, c), each
+    edge one add_edge pair with c in both residual slots."""
+    n, arcs = draw(networks())
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 6))
+    pairs = [(u, v, c) for u, v, c in draw(st.lists(edge, max_size=12)) if u != v]
+    return n, arcs, pairs
+
+
+def build_mixed(n, arcs, pairs, flows=None):
+    """The mixed network carrying ``flows``: one value per arc, then one
+    signed value per edge, from u to v. Zero flow by default."""
+    net = build(n, arcs + [(u, v, 0) for u, v, _ in pairs])
+    flows = flows or [0] * (len(arcs) + len(pairs))
+    caps = []
+    for (_, _, c), f in zip(arcs, flows):
+        caps += (c - f, f)
+    for (_, _, c), g in zip(pairs, flows[len(arcs):]):
+        caps += (c - g, c + g)
+    net.cap = caps
+    return net
+
+
+@settings(deadline=None, max_examples=300)
+@given(mixed_networks())
+def test_undirected_pairs_match_brute_force_cuts(case):
+    n, arcs, pairs = case
+    # the brute force sees each undirected edge as two opposite arcs
+    directed = arcs + [(u, v, c) for u, v, c in pairs] + [(v, u, c) for u, v, c in pairs]
+    best, sides = brute_min_cuts(n, directed)
+    net = build_mixed(n, arcs, pairs)
+    assert net.max_flow(0, n - 1) == best
+    assert net.source_side() == set.intersection(*sides)
+    # a maximum flow of the halved network is feasible for the full one
+    half = build_mixed(n, [(u, v, c // 2) for u, v, c in arcs],
+                       [(u, v, c // 2) for u, v, c in pairs])
+    start = half.max_flow(0, n - 1)
+    flows = [half.cap[2 * k + 1] for k in range(len(arcs))]
+    flows += [c // 2 - half.cap[2 * (len(arcs) + k)] for k, (_, _, c) in enumerate(pairs)]
+    net = build_mixed(n, arcs, pairs, flows)
+    assert start + net.max_flow(0, n - 1) == best
+    assert net.source_side() == set.intersection(*sides)
