@@ -148,9 +148,7 @@ def _attach_pendants(
     if pendants and max(s for _, s in pendants) >= clique_size:
         raise InfeasibleParamsError("clique too small for distinct attachments")
     f = disjoint_union([gadget, complete_graph(clique_size)])
-    for v, slot in pendants:
-        f = f.with_edge(v, gadget.n + slot)
-    return f
+    return f.with_edges((v, gadget.n + slot) for v, slot in pendants)
 
 
 def _pinned_subdivision(
@@ -321,7 +319,7 @@ def counterexample_15_7(clique_small: int = 7, clique_big: int = 100) -> Constru
     # two distinct small-clique vertices, each tied to its own big-clique vertex
     s0 = 7
     b0 = 7 + clique_small
-    f = f.with_edge(s0, b0).with_edge(s0 + 1, b0 + 1)
+    f = f.with_edges([(s0, b0), (s0 + 1, b0 + 1)])
     return Construction(
         family="counterexample",
         graph=f,
@@ -346,6 +344,4 @@ def counterexample_host(
     base = clique_small + clique_big
     gadget = circulant(7, {1, 2})
     g = disjoint_union([complete_graph(base)] + [gadget] * i)
-    for j in range(i):
-        g = g.with_edge(base + 7 * j, j % base)
-    return g
+    return g.with_edges((base + 7 * j, j % base) for j in range(i))

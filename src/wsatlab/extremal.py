@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import BudgetExceededError, CapExceededError, ParameterRangeError
-from .graphs import Graph, _mask, complete_graph, disjoint_union, graph_to_graph6
+from .graphs import Graph, _bits, _mask, complete_graph, disjoint_union, graph_to_graph6
 from .isomorphism import IsoClassRegistry
 from .mincut import MaxFlow
 from .percolation import is_weakly_saturated
@@ -287,15 +287,9 @@ def build_f_tilde(
         )
     fp = disjoint_union([f, complete_graph(clique_pad)]) if clique_pad else f
     nonedges = sorted(fp.non_edges())
-    comps = []
-    for bits in range(1 << q):
-        adj = list(fp._adj)
-        for i in range(q):
-            if bits >> i & 1:
-                u, v = nonedges[i]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        comps.append(Graph._from_adj(adj))
+    comps = [
+        fp.with_edges([nonedges[i] for i in _bits(bits)]) for bits in range(1 << q)
+    ]
     if dedup:
         reg = IsoClassRegistry()
         comps = [c for c in comps if reg.add(c)]
@@ -351,9 +345,7 @@ def lemma23_sequence(
     loc = {v: idx for idx, v in enumerate(outside)}
     loc.update((v, clique_size + idx) for idx, v in enumerate(sorted(s)))
     block = [(loc[x], loc[y]) for x, y in incident[1:]]
-    g = Graph._from_adj(clique._adj + (0,) * len(s))
-    for e in block:
-        g = g.with_edge(*e)
+    g = Graph._from_adj(clique._adj + (0,) * len(s)).with_edges(block)
     return replicate_component(g, range(clique_size, g.n), block, i - 1)
 
 
@@ -449,15 +441,13 @@ def replicate_component(
             raise ValueError(f"owned edge {e} is not an edge of g")
         if e[0] not in rank and e[1] not in rank:
             raise ValueError(f"owned edge {e} has no end in p0")
-    adj = list(g._adj) + [0] * (i * len(p0))
-    for j in range(i):
-        off = g.n + j * len(p0)
-        for u, v in owned:
-            nu = off + rank[u] if u in rank else u
-            nv = off + rank[v] if v in rank else v
-            adj[nu] |= 1 << nv
-            adj[nv] |= 1 << nu
-    return Graph._from_adj(adj)
+    size = len(p0)
+    # copy j of a vertex x of p0 is g.n + j * size + rank[x]
+    return Graph._from_adj(g._adj + (0,) * (i * size)).with_edges(
+        tuple(g.n + j * size + rank[x] if x in rank else x for x in e)
+        for j in range(i)
+        for e in owned
+    )
 
 
 def w_f_bounds(f: Graph) -> tuple[Fraction, Fraction]:

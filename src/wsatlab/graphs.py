@@ -2,7 +2,9 @@
 
 The adjacency structure is stored as one Python int bitmask per vertex,
 which is what makes the embedding search and the subset enumerations fast.
-Graphs are hashable values: all operations return new graphs.
+Graphs are hashable values: all operations return new graphs. Edges go in
+one way: ``Graph(n, edges)``, ``with_edge`` and ``with_edges`` all run
+``_add_edges``, which checks each pair.
 """
 
 from __future__ import annotations
@@ -28,16 +30,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
         self.n = n
-        self._adj = tuple(adj)
+        self._adj = tuple(_add_edges([0] * n, edges))
         self._hash = None
         self._edges = None
         self._degrees = None
@@ -106,17 +100,18 @@ class Graph:
     # -- derived graphs ----------------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"bad edge ({u},{v})")
-        adj = list(self._adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph._from_adj(adj)
+        return Graph._from_adj(_add_edges(list(self._adj), ((u, v),)))
+
+    def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """This graph plus every listed edge; edges already present are
+        kept as they are."""
+        return Graph._from_adj(_add_edges(list(self._adj), edges))
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        adj = list(self._adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+        # _add_edges checks the pair and sets both bits; xor clears them
+        adj = _add_edges(list(self._adj), ((u, v),))
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
         return Graph._from_adj(adj)
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
@@ -187,6 +182,20 @@ def twin_classes(g: Graph) -> list[tuple[bool, tuple[int, ...]]]:
             groups.append((False, tuple(c)))
     groups.sort(key=lambda c: c[1][0])
     return groups
+
+
+def _add_edges(adj: list[int], edges: Iterable[tuple[int, int]]) -> list[int]:
+    """OR each edge into the adjacency rows ``adj``, in place, and return
+    them; a self-loop or a pair outside 0..len(adj)-1 raises ValueError."""
+    n = len(adj)
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _bits(mask: int) -> list[int]:

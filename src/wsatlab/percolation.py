@@ -39,10 +39,7 @@ class PercolationTrace:
     steps: tuple[tuple[tuple[int, int], Embedding], ...]
 
     def terminal(self) -> Graph:
-        g = self.host
-        for (u, v), _ in self.steps:
-            g = g.with_edge(u, v)
-        return g
+        return self.host.with_edges(edge for edge, _ in self.steps)
 
     def is_complete(self) -> bool:
         return self.terminal().is_complete()
@@ -201,7 +198,6 @@ def activation_partition(trace: PercolationTrace) -> ActivationPartition:
     host_edges = host.edges
     active: set[int] = set()
     parts: list[Part] = []
-    g_hat = host
     for (u, v), emb in trace.steps:
         image = emb.image()
         newly = frozenset(image - active)
@@ -216,7 +212,6 @@ def activation_partition(trace: PercolationTrace) -> ActivationPartition:
             owned.add(act)
         parts.append(Part(newly, act, frozenset(owned)))
         active |= newly
-        g_hat = g_hat.with_edge(u, v)
     missing = set(range(host.n)) - active
     if missing:
         raise InactiveVertexError(
@@ -224,6 +219,7 @@ def activation_partition(trace: PercolationTrace) -> ActivationPartition:
             "minimum weakly saturated graph",
             vertices=sorted(missing),
         )
+    g_hat = host.with_edges(p.activating_edge for p in parts)
     all_owned: set[tuple[int, int]] = set()
     for p in parts:
         overlap = all_owned & p.owned

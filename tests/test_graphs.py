@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +206,63 @@ def test_twin_classes_are_automorphic_and_disjoint(g):
                 assert g.adj_mask(a) | 1 << a == g.adj_mask(b) | 1 << b
             else:
                 assert g.adj_mask(a) == g.adj_mask(b)
+
+
+def test_without_edge_checks_its_pair():
+    k3 = complete_graph(3)
+    assert k3.without_edge(2, 0) == Graph(3, [(0, 1), (1, 2)])
+    assert path_graph(3).without_edge(0, 2) == path_graph(3)  # a non-edge stays out
+    for pair, msg in [
+        ((1, 1), "self-loop at vertex 1"),
+        ((0, 3), "edge (0,3) out of range for n=3"),
+        ((-1, 0), "edge (-1,0) out of range for n=3"),
+    ]:
+        for build in (k3.without_edge, k3.with_edge, lambda *e: Graph(3, [e])):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                build(*pair)
+
+
+@st.composite
+def graphs_and_pairs(draw):
+    """A small graph and a list of its vertex pairs, repeats and present
+    edges included; half the time one bad pair (a self-loop or an end
+    outside the graph) sits at a random place in the list."""
+    g = draw(small_graphs(max_n=8))
+    n = g.n
+    ordered = list(itertools.permutations(range(n), 2))
+    pairs = draw(st.lists(st.sampled_from(ordered), max_size=12)) if ordered else []
+    if draw(st.booleans()):
+        bad = [(x, x) for x in range(n)] + [(-1, 0), (0, n), (n + 2, n), (n, -3)]
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(bad)))
+    return g, pairs
+
+
+def error_of(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(graphs_and_pairs())
+def test_with_edges_folds_with_edge(case):
+    g, pairs = case
+    before = sorted(g.edges)
+
+    def fold(h, pairs):
+        for e in pairs:
+            h = h.with_edge(*e)
+        return h
+
+    got = error_of(g.with_edges, pairs)
+    assert got == error_of(fold, g, pairs)
+    assert error_of(Graph(g.n).with_edges, pairs) == error_of(Graph, g.n, pairs)
+    if any(u == v or not (0 <= u < g.n and 0 <= v < g.n) for u, v in pairs):
+        assert isinstance(got, str)
+    else:
+        assert got.edges == g.edges | {tuple(sorted(e)) for e in pairs}
+    assert g == Graph(g.n, before), "the receiver is unchanged"
 
 
 def test_read_graph_file_rejects_non_ascii(tmp_path):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from test_embedding_oracle import hosts, patterns
 from wsatlab.errors import (
@@ -117,6 +117,26 @@ def test_activation_partition_star():
     assert ap.parts[1].owned == frozenset({(0, 3), (1, 3)})
     assert ap.free_edges == frozenset()
     assert ap.g_hat.num_edges == 4 + 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosts(), patterns())
+def test_g_hat_replays_the_activating_steps(host, pattern):
+    # g_hat is the host plus the edge of each step whose witness uses a
+    # vertex that no earlier step's witness used
+    tr = closure(host, pattern)
+    assume(tr.is_complete())
+    try:
+        ap = activation_partition(tr)
+    except InactiveVertexError:
+        assume(False)
+    g, used = host, set()
+    for (u, v), emb in tr.steps:
+        if not emb.image() <= used:
+            used |= emb.image()
+            g = g.with_edge(u, v)
+    assert ap.g_hat == g
+    assert ap.g_hat.num_edges == host.num_edges + len(ap.parts)
 
 
 def test_activation_partition_errors():
