@@ -316,8 +316,7 @@ def lemma23_sequence(
         raise ValueError("s must be a nonempty vertex subset of f")
     if i < 0:
         raise ValueError("block count must be nonnegative")
-    target = gamma_of_set(f, s)
-    if target != gamma_min_ratio(f).value:
+    if gamma_of_set(f, s) != gamma_min_ratio(f).value:
         raise ValueError("s is not a gamma-minimizing set of f")
     smask = _mask(s)
     f_work = f
@@ -325,10 +324,9 @@ def lemma23_sequence(
         v not in s and g_adj & smask == 0
         for v, g_adj in enumerate(f._adj)
     ):
-        pad = f.n + 2
-        while Fraction(pad * (pad - 1) // 2 - 1, pad) <= target:
-            pad += 1
-        f_work = disjoint_union([f, complete_graph(pad)])
+        # F-tilde's default pad: gamma(f) <= (n-1)/2 - 1/n < (n+1)/2 - 1/(n+2),
+        # which is gamma(K_{n+2}), so the pad never undercuts f's minimum
+        f_work = disjoint_union([f, complete_graph(f.n + 2)])
     incident = [e for e in f.sorted_edges() if e[0] in s or e[1] in s]
     if not incident:
         raise ValueError("no edge of f is incident to s")

@@ -162,24 +162,18 @@ def twin_classes(g: Graph) -> list[tuple[bool, tuple[int, ...]]]:
     """Twin classes of size >= 2 as ``(is_true_twin, members)``.
 
     True twins share closed neighborhoods, false twins share open ones;
-    either way, swapping two members of a class is an automorphism. Closed
-    classes are taken first, then open classes among the vertices left
-    over. Classes are ordered by their smallest member.
+    either way, swapping two members of a class is an automorphism. One
+    pass finds both kinds, since no vertex u has both: a true twin y of u
+    is u's neighbour, so it neighbours every false twin x of u, which puts
+    x in N[y] = N[u]. Classes are ordered by their smallest member.
     """
-    adj = g._adj
     closed: dict[int, list[int]] = {}
-    for v, row in enumerate(adj):
-        closed.setdefault(row | 1 << v, []).append(v)
-    groups = []
     opened: dict[int, list[int]] = {}
-    for c in closed.values():
-        if len(c) >= 2:
-            groups.append((True, tuple(c)))
-        else:  # singletons arrive in ascending vertex order
-            opened.setdefault(adj[c[0]], []).append(c[0])
-    for c in opened.values():
-        if len(c) >= 2:
-            groups.append((False, tuple(c)))
+    for v, row in enumerate(g._adj):
+        closed.setdefault(row | 1 << v, []).append(v)
+        opened.setdefault(row, []).append(v)
+    groups = [(True, tuple(c)) for c in closed.values() if len(c) >= 2]
+    groups += [(False, tuple(c)) for c in opened.values() if len(c) >= 2]
     groups.sort(key=lambda c: c[1][0])
     return groups
 
@@ -394,12 +388,14 @@ def edge_list_to_graph(text: str) -> Graph:
     try:
         n, m = map(int, lines[0].split())
         edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-        if len(edges) != m:
-            raise GraphFormatError(f"expected {m} edges, found {len(edges)}")
         # the constructor rejects self-loops and vertices outside 0..n-1
-        return Graph(n, edges)
+        g = Graph(n, edges)
     except ValueError as exc:
         raise GraphFormatError(f"bad edge list: {exc}") from exc
+    if len(edges) != m or g.num_edges != m:  # a repeated pair counts once in g
+        found = f"{g.num_edges} in {len(edges)} lines"
+        raise GraphFormatError(f"expected {m} distinct edges, found {found}")
+    return g
 
 
 def read_graph_file(path: str) -> Graph:

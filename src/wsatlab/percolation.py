@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -233,33 +234,33 @@ def activation_partition(trace: PercolationTrace) -> ActivationPartition:
 AMatching = tuple[tuple[int, int], ...]  # one owned edge per part, in part order
 
 
-def enumerate_a_matchings(ap: ActivationPartition) -> Iterator[AMatching]:
-    """All selections of one owned edge per part, in lexicographic order."""
+def _pools(ap: ActivationPartition) -> list[list[tuple[int, int]]]:
+    """Each part's owned edges, sorted; raises if some part owns none."""
     empty = [i for i, p in enumerate(ap.parts) if not p.owned]
     if empty:
         raise EmptyOwnershipError(f"parts {empty} own no edge")
-    pools = [sorted(p.owned) for p in ap.parts]
-    yield from itertools.product(*pools)
+    return [sorted(p.owned) for p in ap.parts]
+
+
+def enumerate_a_matchings(ap: ActivationPartition) -> Iterator[AMatching]:
+    """All selections of one owned edge per part, in lexicographic order."""
+    yield from itertools.product(*_pools(ap))
 
 
 def a_matching(ap: ActivationPartition, index: int) -> AMatching:
     """The ``index``-th A-matching of ``enumerate_a_matchings``: ``index``
     in mixed radix over the sorted owned-edge pools, last part fastest."""
-    if not 0 <= index < count_a_matchings(ap):
+    rest, m = index, []
+    for pool in reversed(_pools(ap)):
+        rest, j = divmod(rest, len(pool))
+        m.append(pool[j])
+    if rest:  # index < 0 leaves a negative quotient, index >= count a positive one
         raise IndexError(f"A-matching index {index} out of range")
-    m: AMatching = ()
-    for part in reversed(ap.parts):
-        pool = sorted(part.owned)
-        index, j = divmod(index, len(pool))
-        m = (pool[j],) + m
-    return m
+    return tuple(reversed(m))
 
 
 def count_a_matchings(ap: ActivationPartition) -> int:
-    total = 1
-    for p in ap.parts:
-        total *= len(p.owned)
-    return total
+    return math.prod(map(len, _pools(ap)))
 
 
 def rotate(ap: ActivationPartition, matching: Sequence[tuple[int, int]]) -> Graph:
@@ -302,14 +303,17 @@ def rotation_components(
     for i, p in enumerate(ap.parts):
         for v in p.vertices:
             part_of[v] = i
-    hat_edges = sorted(ap.g_hat.edges)
+    # an edge inside one part joins nothing, and the labels depend only on
+    # which parts end up joined, so only the edges between parts are walked
+    cross = [(e, part_of[e[0]], part_of[e[1]]) for e in ap.g_hat.edges]
+    cross = [(e, a, b) for e, a, b in cross if a != b]
     label = [0] * k
     for matching in enumerate_a_matchings(ap):
         removed = set(matching)
         parent = list(range(k))
-        for u, v in hat_edges:
-            if (u, v) not in removed:
-                parent[_root(parent, part_of[u])] = _root(parent, part_of[v])
+        for e, a, b in cross:
+            if e not in removed:
+                parent[_root(parent, a)] = _root(parent, b)
         ids = {}
         label = [ids.setdefault((label[i], _root(parent, i)), len(ids)) for i in range(k)]
     comps = {}

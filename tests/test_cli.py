@@ -220,6 +220,10 @@ def test_bad_input_exits_with_one_line(files, capsys):
     (tmp / "empty.g6").write_text("?\n")  # graph6 for the 0-vertex graph
     (tmp / "latin1.g6").write_bytes(b"C\xe9\n")
     empty, latin1 = str(tmp / "empty.g6"), str(tmp / "latin1.g6")
+    # the closure's second copy reaches vertex 3 only as the image of
+    # K3+K1's isolated vertex, so part 1, which is {3}, owns no edge
+    (tmp / "host.txt").write_text("5 4\n0 1\n0 2\n0 3\n1 4\n")
+    (tmp / "k3k1.txt").write_text("4 3\n0 1\n0 2\n1 2\n")
     unwritable = str(tmp / "no-such-dir" / "out.json")
     cases = [
         (["gamma", str(bad_edges)], "bad edge list"),
@@ -229,6 +233,8 @@ def test_bad_input_exits_with_one_line(files, capsys):
         (["construct", "--family", "sparse"], "--delta"),
         (["rotate", files["star5"], "--pattern", files["k3"], "--matching", "99"],
          "out of range"),
+        (["rotate", str(tmp / "host.txt"), "--pattern", str(tmp / "k3k1.txt")],
+         "error: parts [1] own no edge"),
         (["gamma", files["k3"], "--out", unwritable], "cannot write"),
         (["closure", files["star5"], "--pattern", files["k3"], "--trace", unwritable],
          "cannot write"),
@@ -258,6 +264,10 @@ def test_bad_input_exits_with_one_line(files, capsys):
           "3/2", "--expander-check", "--clique-size", "9"],
          "--ratio, --clique-size, --expander-check"),
         (["construct", "--family", "counterexample", "--seed", "3"], "--seed"),
+        # a rational is "a/b" or an integer, with b nonzero
+        (["construct", "--family", "delta3", "--ratio", "1/0"], "bad rational"),
+        (["construct", "--family", "delta3", "--ratio", "1.5"], "bad rational"),
+        (["construct", "--family", "delta3", "--ratio", "1/2/3"], "bad rational"),
     ]
     for argv, needle in cases:
         assert main(argv) == 1, argv

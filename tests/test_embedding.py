@@ -65,6 +65,17 @@ def test_forced_edge_must_exist():
         find_new_copy(complete_graph(3), path_graph(3), (0, 2))
 
 
+def test_forced_edge_in_either_order():
+    host = circulant(9, {1, 2})
+    for pattern, (u, v) in [(cycle_graph(5), (0, 1)), (complete_graph(3), (3, 5))]:
+        emb = find_new_copy(pattern, host, (v, u))
+        assert emb is not None and emb.contains_edge((u, v))
+        assert emb == find_new_copy(pattern, host, (u, v))
+    assert find_new_copy(complete_graph(3), path_graph(4), (2, 1)) is None
+    with pytest.raises(ValueError):
+        find_new_copy(complete_graph(3), path_graph(3), (2, 0))
+
+
 def test_edgeless_pattern_never_matches():
     host = complete_graph(3)
     assert find_new_copy(Graph(2), host, (0, 1)) is None

@@ -139,7 +139,12 @@ def test_disjoint_union():
 
 def test_graph6_roundtrip_and_networkx():
     assert graph_to_graph6(complete_graph(5)) == "D~{"
-    for bad in ["D~{?", "D~|"]:  # trailing byte; nonzero padding bits
+    assert graph6_to_graph(">>graph6<<D~{") == complete_graph(5)
+    for bad in [
+        "D~{?", "D~|",  # trailing byte; nonzero padding bits
+        "D~{!", "", ">>graph6<<",  # invalid character; empty text
+        "~A", "~~AB",  # a 4-byte and an 8-byte header, cut short
+    ]:
         with pytest.raises(GraphFormatError):
             graph6_to_graph(bad)
     nx = pytest.importorskip("networkx")
@@ -173,7 +178,8 @@ def test_edge_list_roundtrip():
     assert edge_list_to_graph(text) == g
     lines = text.splitlines()[1:]
     assert lines == sorted(lines, key=lambda ln: tuple(map(int, ln.split())))
-    for bad in ["3 1\n0 1\n1 2\n", "3 1\n0 3\n"]:  # extra edge; vertex >= n
+    # extra edge; vertex >= n; a pair listed twice, which the header counts twice
+    for bad in ["3 1\n0 1\n1 2\n", "3 1\n0 3\n", "3 2\n0 1\n1 0\n"]:
         with pytest.raises(GraphFormatError):
             edge_list_to_graph(bad)
 
@@ -206,6 +212,18 @@ def test_twin_classes_are_automorphic_and_disjoint(g):
                 assert g.adj_mask(a) | 1 << a == g.adj_mask(b) | 1 << b
             else:
                 assert g.adj_mask(a) == g.adj_mask(b)
+
+
+@settings(deadline=None)
+@given(small_graphs())
+def test_twin_classes_are_the_equal_neighbourhood_classes(g):
+    # two vertices share a class iff their open or their closed
+    # neighbourhoods are equal
+    cls = {v: members for _, members in twin_classes(g) for v in members}
+    for a, b in itertools.combinations(range(g.n), 2):
+        ra, rb = g.adj_mask(a), g.adj_mask(b)
+        twins = ra == rb or ra | 1 << a == rb | 1 << b
+        assert (b in cls.get(a, ())) == twins
 
 
 def test_without_edge_checks_its_pair():

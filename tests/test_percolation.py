@@ -205,6 +205,28 @@ def test_empty_ownership_error():
     )
     with pytest.raises(EmptyOwnershipError):
         list(enumerate_a_matchings(ap))
+    # every reader of the pools raises the same error, before any budget check
+    ap = ActivationPartition(
+        host=host,
+        pattern=K3,
+        parts=(
+            Part(frozenset({0, 1}), (0, 1), frozenset({(0, 1)})),
+            Part(frozenset({2}), (1, 2), frozenset()),
+        ),
+        free_edges=frozenset({(0, 2)}),
+        g_hat=host.with_edge(1, 2),
+    )
+    readers = [
+        lambda: list(enumerate_a_matchings(ap)),
+        lambda: a_matching(ap, 0),
+        lambda: count_a_matchings(ap),
+        lambda: rotation_components(ap),
+        lambda: rotation_components(ap, budget=-1),
+    ]
+    for read in readers:
+        with pytest.raises(EmptyOwnershipError) as exc:
+            read()
+        assert str(exc.value) == "parts [1] own no edge"
 
 
 def test_rotation_components_single_and_budget():
