@@ -34,6 +34,7 @@ from .expander import (
     verify_table,
 )
 from .extremal import (
+    MAX_NONEDGES,
     build_f_tilde,
     gamma_min_brute,
     gamma_min_ratio,
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("pattern")
     f.add_argument("--pad", type=int, default=None)
     f.add_argument("--dedup", action="store_true")
-    f.add_argument("--max-nonedges", type=int, default=14)
+    f.add_argument("--max-nonedges", type=int, default=MAX_NONEDGES)
 
     e = sub.add_parser("expander", help="expansion condition numerics")
     esub = e.add_subparsers(dest="expander_command", required=True)

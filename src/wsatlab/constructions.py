@@ -10,16 +10,15 @@ as exact rationals, so the identities can be re-checked by the solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 from .errors import InfeasibleParamsError
 from .expander import i_alpha_exact, sample_random_regular
 from .graphs import (Graph, circulant, complete_graph, disjoint_union,
                      graph_to_graph6, subdivide)
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     delta: int
     ratio: Fraction
     k: int
@@ -27,13 +26,12 @@ class ConstructionParams:
     t: int = 0
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     family: str
     graph: Graph
     witness: tuple[int, ...]
     predicted_gamma: Fraction
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def as_report(self) -> dict:
         return {

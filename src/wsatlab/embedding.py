@@ -30,14 +30,13 @@ class members) is bounded by recursion depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, _mask, twin_classes
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective map from pattern vertices to host vertices carrying every
     pattern edge to a host edge."""
 
@@ -70,8 +69,7 @@ class Embedding:
         return all(self.host.has_edge(m[u], m[v]) for u, v in self.pattern.edges)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Search plan of one non-clique component with some pattern vertices
     pinned to caller-chosen host vertices: everything about the search that
     depends on the pattern and the pinned set alone, compiled once.
@@ -154,8 +152,7 @@ def _orbit_seeds(edges, twins) -> list[tuple[int, int]]:
     return kept
 
 
-@dataclass(frozen=True)
-class _Component:
+class _Component(NamedTuple):
     verts: tuple[int, ...]
     size: int
     edges: tuple[tuple[int, int], ...]
@@ -176,14 +173,13 @@ class _Component:
     plan: _Plan | None
     # plans of the seeds, each compiled the first time a probe tries it
     # (_seeded), so a pattern pays only for the seeds its probes reach;
-    # compiling all of them up front is |E| * |V| work per component
-    seed_plans: dict[tuple[int, int], _Plan] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    # compiling all of them up front is |E| * |V| work per component.
+    # _pattern_info gives each component its own empty dict, filled in
+    # place; the dict makes a component unhashable, and nothing hashes one
+    seed_plans: dict[tuple[int, int], _Plan]
 
 
-@dataclass(frozen=True)
-class _PatternInfo:
+class _PatternInfo(NamedTuple):
     components: tuple[_Component, ...]
     degrees: tuple[int, ...]
     adj: tuple[int, ...]
@@ -235,6 +231,7 @@ def _pattern_info(pattern: Graph) -> _PatternInfo:
                 twins,
                 tuple((k, tuple(groups[k])) for k in sorted(groups)),
                 plan,
+                {},
             )
         )
     comps.sort(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -26,7 +25,7 @@ from .errors import (
     ConditionUnsatisfiableError,
     ParameterRangeError,
 )
-from .graphs import Graph, _mask
+from .graphs import Graph, _vertex_subset
 
 
 def _iv():
@@ -82,8 +81,7 @@ def condition_rhs(alpha, eta):
     return iv.exp(ln1 + ln2 + ln3)
 
 
-@dataclass(frozen=True)
-class ConditionValue:
+class ConditionValue(NamedTuple):
     """One evaluation of the condition, with outward-rounded envelopes."""
 
     alpha: Fraction
@@ -260,11 +258,7 @@ class IsoperimetricValue(NamedTuple):
 def boundary_count(g: Graph, s: Iterable[int]) -> int:
     """x(S): edges with exactly one endpoint in S, the sum of |N(v) - S|
     over v in S."""
-    s = set(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside graph")
-    smask = _mask(s)
+    s, smask = _vertex_subset(g, s)
     adj = g._adj
     return sum((adj[v] & ~smask).bit_count() for v in s)
 

@@ -13,12 +13,12 @@ greedy flow that hands each edge's weight to its endpoints in edge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, CapExceededError, ParameterRangeError
-from .graphs import Graph, _bits, _mask, complete_graph, disjoint_union, graph_to_graph6
+from .graphs import (Graph, _bits, _mask, _vertex_subset, complete_graph,
+                     disjoint_union, graph_to_graph6)
 from .isomorphism import IsoClassRegistry
 from .mincut import MaxFlow
 from .percolation import is_weakly_saturated
@@ -26,11 +26,7 @@ from .percolation import is_weakly_saturated
 
 def m_f(g: Graph, s: Iterable[int]) -> int:
     """Number of edges of g with at least one endpoint in s."""
-    s = set(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside graph")
-    smask = _mask(s)
+    s, smask = _vertex_subset(g, s)
     adj, degs = g._adj, g.degrees
     degsum = internal2 = 0
     for v in s:
@@ -46,8 +42,7 @@ def gamma_of_set(g: Graph, s: Iterable[int]) -> Fraction:
     return Fraction(m_f(g, s) - 1, len(s))
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(NamedTuple):
     """A gamma minimum with a minimizing witness set.
 
     ``nodes_explored`` is the work count of the method that found it: search
@@ -205,8 +200,8 @@ class _SubproblemNetwork:
         cap += edge_cap
         net.cap = cap
         net.max_flow(0, n + 1)
-        level = net.level
-        return frozenset(v for v in range(n) if level[1 + v] < 0)
+        side = net.source_side()
+        return frozenset(v for v in range(n) if 1 + v not in side)
 
 
 def gamma_min_ratio(g: Graph) -> GammaResult:
@@ -260,18 +255,30 @@ def gamma_min_ratio(g: Graph) -> GammaResult:
 # -- the all-spanning-supergraphs pattern -------------------------------------
 
 
+MAX_NONEDGES = 14  # default cap on the q non-edges of F-tilde (2^q components)
+
+
+def _padded_nonedges(f: Graph, pad: int, cap: int) -> int:
+    """Non-edges q of f plus a disjoint K_pad, unbuilt; q > cap raises."""
+    q = f.n * (f.n - 1) // 2 - f.num_edges + f.n * pad
+    if q > cap:
+        raise CapExceededError(f"{q} non-edges would give 2^{q} components (cap {cap})")
+    return q
+
+
 def build_f_tilde(
     f: Graph,
     clique_pad: int | None = None,
     dedup: bool = False,
-    max_nonedges: int = 14,
+    max_nonedges: int = MAX_NONEDGES,
 ) -> Graph:
     """Disjoint union of every spanning supergraph of f padded by a clique.
 
     One component per subset of the padded graph's non-edges, in subset
     order, so the literal pattern has 2^q components. With ``dedup`` one
     representative per isomorphism class is kept; that changes the
-    component multiset and is labeled in CLI reports.
+    component multiset and is labeled in CLI reports. A q or pad above
+    ``max_nonedges`` raises CapExceededError before anything is built.
     """
     if clique_pad is None:
         clique_pad = f.n + 2
@@ -279,12 +286,10 @@ def build_f_tilde(
         raise ParameterRangeError("clique_pad must be nonnegative")
     if max_nonedges < 0:
         raise ParameterRangeError("max_nonedges must be nonnegative")
-    # the pad clique is complete and sees no vertex of f: count before building
-    q = f.n * (f.n - 1) // 2 - f.num_edges + f.n * clique_pad
-    if q > max_nonedges:
-        raise CapExceededError(
-            f"{q} non-edges would give 2^{q} components (cap {max_nonedges})"
-        )
+    q = _padded_nonedges(f, clique_pad, max_nonedges)
+    # q >= f.n * clique_pad, so this bounds the pad only when f has no vertex
+    if clique_pad > max_nonedges:
+        raise CapExceededError(f"pad {clique_pad} exceeds the cap {max_nonedges}")
     fp = disjoint_union([f, complete_graph(clique_pad)]) if clique_pad else f
     nonedges = sorted(fp.non_edges())
     comps = [
@@ -309,7 +314,9 @@ def lemma23_sequence(
     s-incident edge, with s replaced by fresh vertices. Block j never sees
     block j'. By default K has one more vertex than the full
     all-supergraphs pattern of f, which is what the percolation argument
-    needs; a smaller override is allowed for counting experiments.
+    needs (CapExceededError, before building, if it has more than
+    ``MAX_NONEDGES`` non-edges); a smaller override is allowed for
+    counting experiments.
     """
     s = frozenset(s)
     if not s or not s <= frozenset(range(f.n)):
@@ -319,21 +326,18 @@ def lemma23_sequence(
     if gamma_of_set(f, s) != gamma_min_ratio(f).value:
         raise ValueError("s is not a gamma-minimizing set of f")
     smask = _mask(s)
-    f_work = f
-    if not any(
-        v not in s and g_adj & smask == 0
-        for v, g_adj in enumerate(f._adj)
-    ):
-        # F-tilde's default pad: gamma(f) <= (n-1)/2 - 1/n < (n+1)/2 - 1/(n+2),
-        # which is gamma(K_{n+2}), so the pad never undercuts f's minimum
-        f_work = disjoint_union([f, complete_graph(f.n + 2)])
+    # f_work, only counted: f plus F-tilde's default pad K_{n+2} unless a vertex
+    # outside s misses s. gamma(f) <= (n-1)/2 - 1/n < (n+1)/2 - 1/(n+2),
+    # which is gamma(K_{n+2}), so the pad never undercuts f's minimum
+    misses = any(v not in s and a & smask == 0 for v, a in enumerate(f._adj))
+    pad = 0 if misses else f.n + 2
     incident = [e for e in f.sorted_edges() if e[0] in s or e[1] in s]
     if not incident:
         raise ValueError("no edge of f is incident to s")
-    q = sum(1 for _ in f_work.non_edges())
     if clique_size is None:
-        clique_size = (1 << q) * f_work.n + 1
-    outside = sorted(set(range(f_work.n)) - s)
+        q = _padded_nonedges(f, pad, MAX_NONEDGES)  # f_work's non-edges
+        clique_size = (1 << q) * (f.n + pad) + 1
+    outside = sorted(set(range(f.n + pad)) - s)
     if clique_size < len(outside) + 1:
         raise ValueError("clique too small to hold U")
     clique = complete_graph(clique_size)
@@ -350,12 +354,11 @@ def lemma23_sequence(
 # -- exact weak saturation numbers --------------------------------------------
 
 
-@dataclass(frozen=True)
-class WsatResult:
+class WsatResult(NamedTuple):
     n: int
     value: int
     witness: Graph
-    witnesses: tuple[Graph, ...] = field(repr=False, default=())
+    witnesses: tuple[Graph, ...] = ()
     # one-edge extensions generated (g.with_edge for a class g and a
     # non-edge of g), the unit ``budget`` is counted in
     nodes_explored: int = 0

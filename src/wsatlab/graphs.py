@@ -209,6 +209,15 @@ def _mask(vertices: Iterable[int]) -> int:
     return mask
 
 
+def _vertex_subset(g: Graph, s: Iterable[int]) -> tuple[set[int], int]:
+    """``s`` as a set and as a mask; a vertex outside g raises ValueError."""
+    s = set(s)
+    for v in s:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside graph")
+    return s, _mask(s)
+
+
 # -- generators -------------------------------------------------------------
 
 

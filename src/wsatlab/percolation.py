@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .embedding import Embedding, find_new_copy
 from .errors import (
@@ -31,8 +30,7 @@ from .errors import (
 from .graphs import Graph, _norm_edge
 
 
-@dataclass(frozen=True)
-class PercolationTrace:
+class PercolationTrace(NamedTuple):
     """Ordered record of restored edges, each with its witnessing copy."""
 
     host: Graph
@@ -165,8 +163,7 @@ def is_weakly_saturated(host: Graph, pattern: Graph) -> bool:
 # -- activation partitions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     """One activation class: the vertices first used by ``activating_edge``'s
     new copy, together with the edges the class owns."""
 
@@ -175,8 +172,7 @@ class Part:
     owned: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class ActivationPartition:
+class ActivationPartition(NamedTuple):
     host: Graph
     pattern: Graph
     parts: tuple[Part, ...]

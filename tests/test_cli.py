@@ -175,6 +175,11 @@ def test_ftilde(files, capsys):
     code, rep = run(capsys, ["ftilde", files["c4"], "--pad", "0", "--max-nonedges", "1"])
     assert code == 3 and rep["results"]["inconclusive"]
     assert rep["results"]["message"] == "2 non-edges would give 2^2 components (cap 1)"
+    # a pattern with no vertex has no non-edge at any pad; the pad is capped
+    empty = files["tmp"] / "empty.txt"
+    empty.write_text("0 0\n")
+    code, rep = run(capsys, ["ftilde", str(empty), "--pad", "15"])
+    assert code == 3 and rep["results"]["message"] == "pad 15 exceeds the cap 14"
 
 
 def test_expander_subcommands(capsys):

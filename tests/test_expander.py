@@ -287,10 +287,12 @@ def test_i_alpha_errors_raise_before_numpy_loads():
 
 
 def test_importing_wsatlab_loads_neither_numpy_nor_mpmath():
+    # nor the dataclass machinery: the records are NamedTuples
     out = run_fresh(
         "import sys, wsatlab, wsatlab.cli, wsatlab.constructions, "
         "wsatlab.extremal, wsatlab.percolation; "
-        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'}"
+        " & set(sys.modules)))"
     )
     assert out.strip() == "[]"
 

@@ -303,6 +303,8 @@ def test_f_tilde_examples():
     assert gamma_min_ratio(build_f_tilde(cycle_graph(4), clique_pad=0)).value == Fraction(3, 4)
     with pytest.raises(CapExceededError):
         build_f_tilde(cycle_graph(4))  # default pad blows past the cap
+    # a pattern with no vertex has no non-edge, so only the pad bounds it
+    assert build_f_tilde(Graph(0), clique_pad=14) == complete_graph(14)
 
 
 def test_f_tilde_checks_the_cap_before_building(monkeypatch):
@@ -319,6 +321,19 @@ def test_f_tilde_checks_the_cap_before_building(monkeypatch):
     assert str(exc.value) == (
         "4000002 non-edges would give 2^4000002 components (cap 14)"
     )
+    # q is 0 for a pattern with no vertex, whatever the pad
+    with pytest.raises(CapExceededError) as exc:
+        build_f_tilde(Graph(0), clique_pad=15)
+    assert str(exc.value) == "pad 15 exceeds the cap 14"
+    # lemma23_sequence's default clique has one vertex more than its F-tilde:
+    # all of C4 is a gamma minimizer, so that F-tilde pads C4 with K6, and
+    # its 26 non-edges would ask for a clique on 2^26 * 10 + 1 vertices
+    c4 = cycle_graph(4)
+    assert gamma_of_set(c4, range(4)) == gamma_min_ratio(c4).value == Fraction(3, 4)
+    for i in (0, 1):
+        with pytest.raises(CapExceededError) as exc:
+            lemma23_sequence(c4, range(4), i)
+        assert str(exc.value) == "26 non-edges would give 2^26 components (cap 14)"
 
 
 def test_f_tilde_dedup_is_smaller():
