@@ -18,11 +18,15 @@ Patterns are pre-analyzed once and cached, since percolation reuses one
 pattern across many hosts, and nearly every closure probe is a miss. The
 analysis keeps one seed per twin orbit: swapping twins is a pattern
 automorphism, so a seed and its swaps have the same image sets and only
-the first can succeed first. Each component keeps a search plan for the
-unseeded search and, from the first probe that tries it, one for each kept
-seed: everything that depends on the pattern and the pinned vertices
-alone (which twin classes are filled as sets, the free vertices, their
-degrees and pinned neighbors), so a probe does only host mask work.
+the first can succeed first. The first probe that tries a seed also
+drops it when any automorphism of its component carries an earlier kept
+seed onto it, for the same reason; a self-embedding search of the
+component decides that, and each automorphism found settles every seed
+it moves. Each component keeps a search plan for the unseeded search and
+one for each kept seed: everything that depends on the pattern and the
+pinned vertices alone (which twin classes are filled as sets, the free
+vertices, their degrees and pinned neighbors), so a probe does only host
+mask work.
 Every backtracking loop keeps an explicit stack or a flat stack of child
 generators, so no pattern size (components, free vertices, twin classes or
 class members) is bounded by recursion depth.
@@ -33,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, _mask, twin_classes
+from .graphs import Graph, _bits, _mask, twin_classes
 
 
 class Embedding(NamedTuple):
@@ -56,9 +60,13 @@ class Embedding(NamedTuple):
         return out
 
     def contains_edge(self, e: tuple[int, int]) -> bool:
+        """Whether some pattern edge joins a preimage of u to one of v."""
         u, v = e
-        pair = (u, v) if u < v else (v, u)
-        return pair in self.image_edges()
+        padj = self.pattern._adj
+        at_v = _mask(i for i, x in enumerate(self.mapping) if x == v)
+        return any(
+            padj[i] & at_v for i, x in enumerate(self.mapping) if x == u
+        )
 
     def is_valid(self) -> bool:
         m = self.mapping
@@ -66,7 +74,8 @@ class Embedding(NamedTuple):
             return False
         if any(not (0 <= x < self.host.n) for x in m):
             return False
-        return all(self.host.has_edge(m[u], m[v]) for u, v in self.pattern.edges)
+        hadj = self.host._adj
+        return all(hadj[m[u]] >> m[v] & 1 for u, v in self.pattern.edges)
 
 
 class _Plan(NamedTuple):
@@ -130,8 +139,9 @@ def _compile_plan(verts, twins, degs, padj, anchors) -> _Plan:
     )
 
 
-def _orbit_seeds(edges, twins) -> list[tuple[int, int]]:
-    """First directed edge of each orbit under swaps inside twin classes.
+def _orbit_seeds(edges, twins):
+    """First directed edge of each orbit under swaps inside twin classes,
+    and the position in that list of every directed edge's orbit.
 
     Directed edges (a, b) and (a', b') share an orbit exactly when a and a'
     are equal or in one class, and likewise b and b' (two members of one
@@ -142,14 +152,67 @@ def _orbit_seeds(edges, twins) -> list[tuple[int, int]]:
         for m in members:
             cls[m] = -1 - k
     kept = []
-    orbits = set()
+    position = {}
+    index = {}
     for u, v in edges:
         for a, b in ((u, v), (v, u)):
             key = (cls.get(a, a), cls.get(b, b))
-            if key not in orbits:
-                orbits.add(key)
+            i = position.get(key)
+            if i is None:
+                i = position[key] = len(kept)
                 kept.append((a, b))
-    return kept
+            index[a, b] = i
+    return kept, index
+
+
+def _refined_colors(verts, adj, degs) -> dict[int, int]:
+    """Stable color refinement of a component from its degrees: a vertex's
+    next color is its color with the multiset of its neighbors' colors.
+    Each round applies one function to every vertex, so an automorphism
+    keeps every vertex's color."""
+    color = {v: degs[v] for v in verts}
+    count = len(set(color.values()))
+    while True:
+        ids: dict[tuple, int] = {}
+        color = {
+            v: ids.setdefault(
+                (color[v], tuple(sorted(color[w] for w in _bits(adj[v])))), len(ids)
+            )
+            for v in verts
+        }
+        if len(ids) == count:
+            return color
+        count = len(ids)
+
+
+class _SeedOrbits:
+    """The automorphism orbits found so far among the twin-orbit seeds of
+    one non-clique component: a union-find over seed positions whose root
+    is the first seed of its class, plus the component's refined colors,
+    computed for the first self-embedding search (``_seed_plan``)."""
+
+    __slots__ = ("seeds", "index", "parent", "colors")
+
+    def __init__(self, seeds, index):
+        self.seeds = seeds
+        # every directed edge of the component -> its twin-orbit seed's position
+        self.index = index
+        self.parent = list(range(len(seeds)))
+        self.colors: dict[int, int] | None = None
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def add(self, sigma: dict[int, int]) -> None:
+        """Join every seed's class with its image's under sigma."""
+        for i, (a, b) in enumerate(self.seeds):
+            r, q = self.find(i), self.find(self.index[sigma[a], sigma[b]])
+            if r != q:
+                self.parent[max(r, q)] = min(r, q)
 
 
 class _Component(NamedTuple):
@@ -164,19 +227,23 @@ class _Component(NamedTuple):
     twins: tuple[tuple[bool, tuple[int, ...], int, int], ...]
     # seeds (a, b) for the forced edge, grouped by endpoint degrees for
     # cheap feasibility filtering. A clique has the one seed (verts[0],
-    # verts[1]). Otherwise only the first directed pattern edge of each
-    # orbit under twin swaps is kept: a swapped seed has the same image
-    # sets, so it fails whenever the kept one did. Twins have equal
-    # degrees, so an orbit never straddles two groups.
+    # verts[1]). Otherwise the first directed pattern edge of each orbit
+    # under twin swaps: a swapped seed has the same image sets, so it
+    # fails whenever the kept one did. Automorphisms keep degrees, so an
+    # orbit never straddles two groups.
     seed_groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
     # plan with nothing pinned (None for a clique)
     plan: _Plan | None
-    # plans of the seeds, each compiled the first time a probe tries it
-    # (_seeded), so a pattern pays only for the seeds its probes reach;
-    # compiling all of them up front is |E| * |V| work per component.
-    # _pattern_info gives each component its own empty dict, filled in
-    # place; the dict makes a component unhashable, and nothing hashes one
+    # each non-clique seed's plan, or _DROPPED when an automorphism of the
+    # component carries an earlier kept seed onto it, decided the first
+    # time a probe tries the seed (_seed_plan), so a pattern pays only for
+    # the seeds its probes reach; compiling all of them up front is
+    # |E| * |V| work per component. _pattern_info gives each component its
+    # own empty dict, filled in place; the dict makes a component
+    # unhashable, and nothing hashes one
     seed_plans: dict[tuple[int, int], _Plan]
+    # the automorphism orbits those decisions found (None for a clique)
+    orbits: _SeedOrbits | None
 
 
 class _PatternInfo(NamedTuple):
@@ -216,11 +283,12 @@ def _pattern_info(pattern: Graph) -> _PatternInfo:
         if is_clique:
             twins = ()
             seeds = [(vs[0], vs[1])] if size >= 2 else []
-            plan = None
+            plan = orbits = None
         else:
             twins = tuple(twins)
-            seeds = _orbit_seeds(edges, twins)
+            seeds, index = _orbit_seeds(edges, twins)
             plan = _compile_plan(vs, twins, degs, adj, ())
+            orbits = _SeedOrbits(seeds, index)
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for a, b in seeds:
             groups.setdefault((degs[a], degs[b]), []).append((a, b))
@@ -232,6 +300,7 @@ def _pattern_info(pattern: Graph) -> _PatternInfo:
                 tuple((k, tuple(groups[k])) for k in sorted(groups)),
                 plan,
                 {},
+                orbits,
             )
         )
     comps.sort(
@@ -557,9 +626,72 @@ def _embeddings(comp, plan, info, hv, used, images=()):
     return _iter_generic_embeddings(plan, info, hv, used, images)
 
 
+# seed_plans' mark of a seed that an earlier kept seed's orbit contains
+_DROPPED: _Plan = _Plan((), (), (), (), (), (), (), (), ())
+
+
+def _automorphism(comp, info, kept, seed) -> dict[int, int] | None:
+    """An automorphism of comp carrying the kept seed onto seed, or None.
+
+    It is the first embedding of comp, with the kept seed's plan pinned at
+    seed, into the pattern with every vertex outside comp used: a
+    bijection onto comp that maps comp's edges into an edge set of the
+    same size.
+    """
+    hv = _HostView(Graph._from_adj(info.adj))
+    # comp's own twin classes are the host twins of its vertices
+    hv._twins = twins = [1 << v for v in range(len(info.adj))]
+    for _, members, cmask, _ in comp.twins:
+        for m in members:
+            twins[m] = cmask
+    used = hv.full & ~_mask(comp.verts)
+    found = _iter_generic_embeddings(comp.seed_plans[kept], info, hv, used, seed)
+    return next((mapping for mapping, _ in found), None)
+
+
+def _seed_plan(comp, info, seed) -> _Plan:
+    """The plan of a non-clique component's seed, or _DROPPED when an
+    automorphism of the component carries an earlier kept seed onto it.
+
+    A dropped seed gives the image sets of that kept seed, which frame 0
+    of ``_embed_rest`` has then all tried. A probe reaches a seed only
+    after every earlier seed of its group, so those are decided. The seed
+    is dropped outright when its class already holds an earlier seed;
+    otherwise it is searched for against each earlier kept seed whose
+    endpoints have its endpoints' refined colors, and an automorphism
+    found joins every seed's class with its image's. So the kept seeds
+    are exactly the first of each orbit.
+    """
+    orbits = comp.orbits
+    i = orbits.index[seed]
+    plan = _DROPPED
+    if orbits.find(i) == i:
+        degs = info.degrees
+        a, b = seed
+        rivals = [
+            k for k in orbits.seeds[:i]
+            if degs[k[0]] == degs[a] and degs[k[1]] == degs[b]
+            and comp.seed_plans[k] is not _DROPPED
+        ]
+        if rivals and orbits.colors is None:
+            orbits.colors = _refined_colors(comp.verts, info.adj, degs)
+        colors = orbits.colors
+        for k in rivals:
+            if colors[k[0]] == colors[a] and colors[k[1]] == colors[b]:
+                sigma = _automorphism(comp, info, k, seed)
+                if sigma is not None:
+                    orbits.add(sigma)
+                    break
+        else:
+            plan = _compile_plan(comp.verts, comp.twins, degs, info.adj, seed)
+    comp.seed_plans[seed] = plan
+    return plan
+
+
 def _seeded(comp, info, hv, forced):
     """Embeddings of comp whose image uses the forced host edge: each
-    degree-feasible seed in turn carries it, one seed per twin orbit."""
+    degree-feasible seed in turn carries it, one seed per automorphism
+    orbit."""
     u, v = forced
     du, dv = hv.deg[u], hv.deg[v]
     for (da, db), seeds in comp.seed_groups:
@@ -568,10 +700,9 @@ def _seeded(comp, info, hv, forced):
         for seed in seeds:
             plan = comp.seed_plans.get(seed)
             if plan is None and not comp.is_clique:
-                plan = comp.seed_plans[seed] = _compile_plan(
-                    comp.verts, comp.twins, info.degrees, info.adj, seed
-                )
-            yield from _embeddings(comp, plan, info, hv, 0, forced)
+                plan = _seed_plan(comp, info, seed)
+            if plan is not _DROPPED:
+                yield from _embeddings(comp, plan, info, hv, 0, forced)
 
 
 def _embed_rest(pattern, comps, info, hv, head):

@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsatlab.embedding import _pattern_info, find_any_embedding, find_new_copy
+from wsatlab.embedding import (
+    _DROPPED,
+    Embedding,
+    _pattern_info,
+    _seed_plan,
+    find_any_embedding,
+    find_new_copy,
+)
 from wsatlab.graphs import (
     Graph,
     circulant,
@@ -225,3 +232,181 @@ def test_seeds_cover_every_edge_by_an_earlier_twin_swap(pattern):
                 covering.append((a, b))
             # exactly one kept seed per orbit
             assert len(covering) == 1
+
+
+@st.composite
+def twin_rich_patterns(draw):
+    """A graph on at most four vertices with each vertex blown up into a
+    class of one to three true or false twins, at most eight in all."""
+    base = draw(small_patterns(max_n=4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(base.n)]
+    while sum(sizes) > 8:
+        sizes[sizes.index(max(sizes))] -= 1
+    true = [draw(st.booleans()) for _ in range(base.n)]
+    members, n = [], 0
+    for s in sizes:
+        members.append(range(n, n + s))
+        n += s
+    edges = [(x, y) for i, j in base.edges for x in members[i] for y in members[j]]
+    edges += [
+        (x, y) for i, ms in enumerate(members) if true[i]
+        for x in ms for y in ms if x < y
+    ]
+    return Graph(n, edges)
+
+
+def decide_every_seed(info):
+    """Each non-clique component with every seed decided, in probe order,
+    and the seeds kept."""
+    out = []
+    for comp in info.components:
+        if comp.is_clique:
+            continue
+        for _, seeds in comp.seed_groups:
+            for seed in seeds:
+                if seed not in comp.seed_plans:
+                    _seed_plan(comp, info, seed)
+        kept = [
+            s for _, seeds in comp.seed_groups for s in seeds
+            if comp.seed_plans[s] is not _DROPPED
+        ]
+        out.append((comp, kept))
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(small_patterns(), twin_rich_patterns()))
+def test_kept_seeds_are_one_per_automorphism_orbit(pattern):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = nx.Graph(list(pattern.edges))
+    for comp, kept in decide_every_seed(_pattern_info(pattern)):
+        seeds = [s for _, group in comp.seed_groups for s in group]
+        # a subsequence of the twin-orbit seeds
+        it = iter(seeds)
+        assert all(s in it for s in kept)
+        c = g.subgraph(comp.verts)
+        autos = list(GraphMatcher(c, c).isomorphisms_iter())
+        directed = [s for u, v in comp.edges for s in ((u, v), (v, u))]
+        order = {s: i for i, s in enumerate(seeds)}
+        for x, y in directed:
+            # the twin-orbit seed of (x, y), which comes first in its orbit
+            first = order[comp.orbits.seeds[comp.orbits.index[x, y]]]
+            covering = {
+                (a, b) for a, b in kept for sigma in autos
+                if (sigma[a], sigma[b]) == (x, y)
+            }
+            assert len(covering) == 1
+            assert order[covering.pop()] <= first
+        # no kept seed is carried onto another
+        for a, b in kept:
+            images = {(sigma[a], sigma[b]) for sigma in autos}
+            assert images & set(kept) == {(a, b)}
+
+
+def counterexample_pattern(small, big):
+    from wsatlab.constructions import counterexample_15_7
+
+    return counterexample_15_7(clique_small=small, clique_big=big).graph
+
+
+@pytest.mark.parametrize(
+    "pattern, twin_seeds, kept",
+    [
+        (counterexample_pattern(3, 3), [30, 16], [15, 4]),
+        (counterexample_pattern(3, 5), [17, 30], [9, 15]),
+        (counterexample_pattern(4, 4), [18, 30], [5, 15]),
+        (counterexample_pattern(7, 7), [18, 30], [5, 15]),
+        (counterexample_pattern(7, 100), [18, 30], [10, 15]),
+        (cycle_graph(5), [10], [1]),
+        # legs 0-1-2-3, 0-4-6 and 0-5-7: (2, 3) is fixed, so the swap of
+        # the short legs is found only by testing (5, 7) against (4, 6)
+        (Graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 6), (0, 5), (5, 7)]), [14], [10]),
+    ],
+)
+def test_kept_seed_counts(pattern, twin_seeds, kept):
+    comps = decide_every_seed(_pattern_info(pattern))
+    assert [sum(len(g) for _, g in c.seed_groups) for c, _ in comps] == twin_seeds
+    assert [len(k) for _, k in comps] == kept
+
+
+def count_searches(monkeypatch):
+    """Calls of the self-embedding search, counted, with the pattern cache
+    cleared so that every seed is decided afresh."""
+    from wsatlab import embedding
+
+    calls = []
+    real = embedding._automorphism
+
+    def counted(comp, info, kept, seed):
+        calls.append(seed)
+        return real(comp, info, kept, seed)
+
+    _pattern_info.cache_clear()
+    monkeypatch.setattr(embedding, "_automorphism", counted)
+    return calls
+
+
+def twin_orbit_seeds(pattern):
+    return sum(
+        len(g) for c in _pattern_info(pattern).components for _, g in c.seed_groups
+    )
+
+
+@pytest.mark.parametrize("small, big, i, searches", [(3, 3, 1, 6), (4, 4, 1, 6)])
+def test_closure_searches_each_seed_at_most_once(small, big, i, searches, monkeypatch):
+    from wsatlab.constructions import counterexample_host
+    from wsatlab.percolation import closure
+
+    calls = count_searches(monkeypatch)
+    pattern = counterexample_pattern(small, big)
+    closure(counterexample_host(i, clique_small=small, clique_big=big), pattern)
+    assert len(calls) == searches
+    assert len(set(calls)) == len(calls) <= twin_orbit_seeds(pattern)
+
+
+def test_forced_middle_edge_on_a_long_path(monkeypatch):
+    # one search finds the reflection, which then drops every mirror seed
+    calls = count_searches(monkeypatch)
+    path = path_graph(100)
+    emb = find_new_copy(path, path, (49, 50))
+    assert emb is not None and emb.mapping == tuple(range(100))
+    assert len(calls) == 1 <= twin_orbit_seeds(path)
+
+
+@st.composite
+def mapped(draw):
+    """An Embedding whose mapping is a real embedding, an injective map into
+    the host, or any map that may repeat or leave the host's range."""
+    pattern = draw(small_patterns(max_n=6))
+    host = draw(small_patterns(max_n=7))
+    kind = draw(st.sampled_from(["embedding", "injective", "any"]))
+    found = find_any_embedding(pattern, host)
+    if kind == "embedding" and found is not None:
+        return found
+    if kind == "injective" and pattern.n <= host.n:
+        return Embedding(pattern, host, tuple(draw(st.permutations(range(host.n)))[: pattern.n]))
+    values = st.integers(-1, host.n)
+    return Embedding(
+        pattern, host,
+        tuple(draw(st.lists(values, min_size=pattern.n, max_size=pattern.n))),
+    )
+
+
+@settings(deadline=None, max_examples=500)
+@given(mapped(), st.data())
+def test_replay_checks_keep_their_definitions(emb, data):
+    m, host = emb.mapping, emb.host
+    # is_valid: injective, inside the host, every image pair a host edge
+    assert emb.is_valid() == (
+        len(m) == emb.pattern.n
+        and len(set(m)) == len(m)
+        and all(0 <= x < host.n for x in m)
+        and all(host.has_edge(m[u], m[v]) for u, v in emb.pattern.edges)
+    )
+    # contains_edge: the pair is one of the image edges, u == v included
+    ends = st.sampled_from(m + (-1, 0, host.n)) if m else st.integers(-1, 2)
+    u, v = data.draw(ends), data.draw(ends)
+    pair = (u, v) if u < v else (v, u)
+    assert emb.contains_edge((u, v)) == (pair in emb.image_edges())
