@@ -116,10 +116,11 @@ def _closure(args) -> tuple[dict, int]:
     tr = closure(_load(args.host), _load(args.pattern))
     if args.trace:
         _write(args.trace, tr.to_json())
+    terminal = tr.terminal()
     return {
         "steps": len(tr.steps),
-        "complete": tr.is_complete(),
-        "closure": graph_to_graph6(tr.terminal()),
+        "complete": terminal.is_complete(),
+        "closure": graph_to_graph6(terminal),
     }, 0
 
 

@@ -37,15 +37,15 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, _bits, _mask, twin_classes
+from .graphs import Graph, _bits, _mask, _root, twin_classes
 
 
 class Embedding(NamedTuple):
-    """Injective map from pattern vertices to host vertices carrying every
-    pattern edge to a host edge."""
+    """A copy of the pattern: ``mapping[i]`` is the host vertex of pattern
+    vertex i. The host is not stored; ``is_valid(host)`` checks the copy in
+    a given host."""
 
     pattern: Graph
-    host: Graph
     mapping: tuple[int, ...]
 
     def image(self) -> frozenset[int]:
@@ -68,13 +68,15 @@ class Embedding(NamedTuple):
             padj[i] & at_v for i, x in enumerate(self.mapping) if x == u
         )
 
-    def is_valid(self) -> bool:
+    def is_valid(self, host: Graph) -> bool:
+        """Whether the mapping is injective into host and carries every
+        pattern edge to a host edge."""
         m = self.mapping
         if len(m) != self.pattern.n or len(set(m)) != len(m):
             return False
-        if any(not (0 <= x < self.host.n) for x in m):
+        if any(not (0 <= x < host.n) for x in m):
             return False
-        hadj = self.host._adj
+        hadj = host._adj
         return all(hadj[m[u]] >> m[v] & 1 for u, v in self.pattern.edges)
 
 
@@ -200,17 +202,11 @@ class _SeedOrbits:
         self.parent = list(range(len(seeds)))
         self.colors: dict[int, int] | None = None
 
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     def add(self, sigma: dict[int, int]) -> None:
         """Join every seed's class with its image's under sigma."""
         for i, (a, b) in enumerate(self.seeds):
-            r, q = self.find(i), self.find(self.index[sigma[a], sigma[b]])
+            r = _root(self.parent, i)
+            q = _root(self.parent, self.index[sigma[a], sigma[b]])
             if r != q:
                 self.parent[max(r, q)] = min(r, q)
 
@@ -639,11 +635,6 @@ def _automorphism(comp, info, kept, seed) -> dict[int, int] | None:
     same size.
     """
     hv = _HostView(Graph._from_adj(info.adj))
-    # comp's own twin classes are the host twins of its vertices
-    hv._twins = twins = [1 << v for v in range(len(info.adj))]
-    for _, members, cmask, _ in comp.twins:
-        for m in members:
-            twins[m] = cmask
     used = hv.full & ~_mask(comp.verts)
     found = _iter_generic_embeddings(comp.seed_plans[kept], info, hv, used, seed)
     return next((mapping for mapping, _ in found), None)
@@ -665,7 +656,7 @@ def _seed_plan(comp, info, seed) -> _Plan:
     orbits = comp.orbits
     i = orbits.index[seed]
     plan = _DROPPED
-    if orbits.find(i) == i:
+    if _root(orbits.parent, i) == i:
         degs = info.degrees
         a, b = seed
         rivals = [
@@ -735,7 +726,7 @@ def _embed_rest(pattern, comps, info, hv, head):
             out = {}
             for f in frames:
                 out.update(f[3])
-            return Embedding(pattern, hv.host, tuple(out[i] for i in range(pattern.n)))
+            return Embedding(pattern, tuple(out[i] for i in range(pattern.n)))
         comp = comps[len(frames)]
         used_now |= mask
         fits = _pool_fits(comp, hv, used_now)
@@ -781,7 +772,7 @@ def find_new_copy(
 def find_any_embedding(pattern: Graph, host: Graph) -> Embedding | None:
     """First unconstrained embedding of pattern into host, or None."""
     if pattern.n == 0:
-        return Embedding(pattern, host, ())
+        return Embedding(pattern, ())
     if pattern.n > host.n:
         return None
     info = _pattern_info(pattern)

@@ -357,11 +357,15 @@ def lemma23_sequence(
 class WsatResult(NamedTuple):
     n: int
     value: int
-    witness: Graph
-    witnesses: tuple[Graph, ...] = ()
+    # one minimum host per isomorphism class, in the order found
+    witnesses: tuple[Graph, ...]
     # one-edge extensions generated (g.with_edge for a class g and a
     # non-edge of g), the unit ``budget`` is counted in
     nodes_explored: int = 0
+
+    @property
+    def witness(self) -> Graph:
+        return self.witnesses[0]
 
     def as_report(self) -> dict:
         return {
@@ -404,7 +408,7 @@ def wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResult:
             and is_weakly_saturated(g, f)
         ]
         if found:
-            return WsatResult(n, m, found[0], tuple(found), explored)
+            return WsatResult(n, m, tuple(found), explored)
         reg = IsoClassRegistry()
         grown: list[Graph] = []
         for g in level:

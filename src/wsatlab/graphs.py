@@ -209,6 +209,14 @@ def _mask(vertices: Iterable[int]) -> int:
     return mask
 
 
+def _root(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _vertex_subset(g: Graph, s: Iterable[int]) -> tuple[set[int], int]:
     """``s`` as a set and as a mask; a vertex outside g raises ValueError."""
     s = set(s)

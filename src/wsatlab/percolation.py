@@ -7,6 +7,9 @@ depend on this fixed deterministic order. The closure graph itself is
 order-independent (monotone process), so ``is_weakly_saturated`` runs a
 faster sweep that adds whole twin orbits and records no witnesses.
 
+A trace stores no graph per step: the host and the edge order fix each
+witness's graph, ``validate`` alone rebuilds them, and ``from_json`` parses.
+
 "New copy" is implemented as "a copy whose image contains the added edge":
 a copy absent before the addition must use the new edge, and conversely any
 copy through the new edge was absent, since the edge was.
@@ -27,11 +30,12 @@ from .errors import (
     InactiveVertexError,
     TraceIncompleteError,
 )
-from .graphs import Graph, _norm_edge
+from .graphs import Graph, _norm_edge, _root
 
 
 class PercolationTrace(NamedTuple):
-    """Ordered record of restored edges, each with its witnessing copy."""
+    """Ordered record of restored edges, each with its witnessing copy: a
+    mapping of ``pattern`` into ``host`` plus the edges up to its own."""
 
     host: Graph
     pattern: Graph
@@ -47,13 +51,13 @@ class PercolationTrace(NamedTuple):
         """Replay the trace, revalidating every step in its own graph state."""
         g = self.host
         for (u, v), emb in self.steps:
-            if g.has_edge(u, v):
+            # with_edge raises ValueError on a pair outside the host
+            h = g.with_edge(u, v)
+            if h == g:
                 raise AssertionError(f"step adds existing edge ({u},{v})")
-            g = g.with_edge(u, v)
-            if emb.host.n != g.n:
-                raise AssertionError("witness host size mismatch")
-            witness = Embedding(self.pattern, g, emb.mapping)
-            if not witness.is_valid():
+            g = h
+            witness = Embedding(self.pattern, emb.mapping)
+            if not witness.is_valid(g):
                 raise AssertionError(f"invalid witness at edge ({u},{v})")
             if not witness.contains_edge((u, v)):
                 raise AssertionError(f"witness misses its own edge ({u},{v})")
@@ -69,13 +73,10 @@ class PercolationTrace(NamedTuple):
     def from_json(
         cls, text: str, host: Graph, pattern: Graph
     ) -> "PercolationTrace":
-        data = json.loads(text)
-        g = host
         steps = []
-        for item in data:
+        for item in json.loads(text):
             u, v = item["edge"]
-            g = g.with_edge(u, v)
-            steps.append(((u, v), Embedding(pattern, g, tuple(item["witness"]))))
+            steps.append(((u, v), Embedding(pattern, tuple(item["witness"]))))
         return cls(host, pattern, tuple(steps))
 
 
@@ -173,8 +174,6 @@ class Part(NamedTuple):
 
 
 class ActivationPartition(NamedTuple):
-    host: Graph
-    pattern: Graph
     parts: tuple[Part, ...]
     free_edges: frozenset[tuple[int, int]]
     g_hat: Graph
@@ -224,7 +223,7 @@ def activation_partition(trace: PercolationTrace) -> ActivationPartition:
             raise AssertionError(f"edge owned twice: {sorted(overlap)[0]}")
         all_owned |= p.owned
     free = frozenset(g_hat.edges - all_owned)
-    return ActivationPartition(host, trace.pattern, tuple(parts), free, g_hat)
+    return ActivationPartition(tuple(parts), free, g_hat)
 
 
 AMatching = tuple[tuple[int, int], ...]  # one owned edge per part, in part order
@@ -271,13 +270,6 @@ def rotate(ap: ActivationPartition, matching: Sequence[tuple[int, int]]) -> Grap
             raise ValueError(f"edge {e} not owned by its part")
         g = g.without_edge(*e)
     return g
-
-
-def _root(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def rotation_components(

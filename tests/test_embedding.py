@@ -48,7 +48,7 @@ def rand_graph(rng, n, p):
 def test_triangle_through_leaf_edge():
     host = star_graph(4).with_edge(1, 2)
     emb = find_new_copy(complete_graph(3), host, (1, 2))
-    assert emb is not None and emb.is_valid() and emb.contains_edge((1, 2))
+    assert emb is not None and emb.is_valid(host) and emb.contains_edge((1, 2))
 
 
 def test_triangle_free_path():
@@ -59,7 +59,7 @@ def test_complete_self_embedding():
     for n in range(2, 9):
         kn = complete_graph(n)
         emb = find_new_copy(kn, kn, (0, n - 1))
-        assert emb is not None and emb.is_valid() and emb.contains_edge((0, n - 1))
+        assert emb is not None and emb.is_valid(kn) and emb.contains_edge((0, n - 1))
     for n in range(2, 7):
         kn = complete_graph(n)
         for forced in kn.edges:
@@ -125,7 +125,7 @@ def test_against_brute_force_oracle():
         emb = find_new_copy(pattern, host, forced)
         assert (emb is not None) == brute_has_copy(pattern, host, forced)
         if emb is not None:
-            assert emb.is_valid()
+            assert emb.is_valid(host)
             assert emb.contains_edge(forced)
     assert trials > 300
 
@@ -142,7 +142,7 @@ def test_counterexample_cross_edge_copy():
         host = host.with_edge(*chord)
     host = host.with_edge(1, 108)
     emb = find_new_copy(pattern, host, (1, 108))
-    assert emb is not None and emb.is_valid() and emb.contains_edge((1, 108))
+    assert emb is not None and emb.is_valid(host) and emb.contains_edge((1, 108))
 
 
 def test_find_any_embedding():
@@ -156,21 +156,21 @@ def test_large_patterns_need_no_recursion():
     # 1200 disjoint edges: one backtracking frame per component
     matching = Graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
     emb = find_new_copy(matching, matching, (0, 1))
-    assert emb is not None and emb.is_valid() and emb.contains_edge((0, 1))
+    assert emb is not None and emb.is_valid(matching) and emb.contains_edge((0, 1))
     emb = find_any_embedding(matching, matching)
-    assert emb is not None and emb.is_valid()
+    assert emb is not None and emb.is_valid(matching)
     # 1100 leaves: one twin class, filled as a set one member per step
     star = star_graph(1101)
     emb = find_new_copy(star, star, (0, 1))
-    assert emb is not None and emb.is_valid() and emb.contains_edge((0, 1))
+    assert emb is not None and emb.is_valid(star) and emb.contains_edge((0, 1))
     emb = find_any_embedding(star, star)
-    assert emb is not None and emb.is_valid()
+    assert emb is not None and emb.is_valid(star)
     # 1100 vertices without twins: one search node per placed vertex
     path = path_graph(1100)
     emb = find_new_copy(path, path, (0, 1))
-    assert emb is not None and emb.is_valid() and emb.contains_edge((0, 1))
+    assert emb is not None and emb.is_valid(path) and emb.contains_edge((0, 1))
     emb = find_any_embedding(path, path)
-    assert emb is not None and emb.is_valid()
+    assert emb is not None and emb.is_valid(path)
 
 
 @st.composite
@@ -377,29 +377,31 @@ def test_forced_middle_edge_on_a_long_path(monkeypatch):
 
 @st.composite
 def mapped(draw):
-    """An Embedding whose mapping is a real embedding, an injective map into
-    the host, or any map that may repeat or leave the host's range."""
+    """An Embedding and its host, where the mapping is a real embedding, an
+    injective map into the host, or any map that may repeat or leave the
+    host's range."""
     pattern = draw(small_patterns(max_n=6))
     host = draw(small_patterns(max_n=7))
     kind = draw(st.sampled_from(["embedding", "injective", "any"]))
     found = find_any_embedding(pattern, host)
     if kind == "embedding" and found is not None:
-        return found
+        return found, host
     if kind == "injective" and pattern.n <= host.n:
-        return Embedding(pattern, host, tuple(draw(st.permutations(range(host.n)))[: pattern.n]))
+        return Embedding(pattern, tuple(draw(st.permutations(range(host.n)))[: pattern.n])), host
     values = st.integers(-1, host.n)
     return Embedding(
-        pattern, host,
+        pattern,
         tuple(draw(st.lists(values, min_size=pattern.n, max_size=pattern.n))),
-    )
+    ), host
 
 
 @settings(deadline=None, max_examples=500)
 @given(mapped(), st.data())
-def test_replay_checks_keep_their_definitions(emb, data):
-    m, host = emb.mapping, emb.host
+def test_replay_checks_keep_their_definitions(mapped_emb, data):
+    emb, host = mapped_emb
+    m = emb.mapping
     # is_valid: injective, inside the host, every image pair a host edge
-    assert emb.is_valid() == (
+    assert emb.is_valid(host) == (
         len(m) == emb.pattern.n
         and len(set(m)) == len(m)
         and all(0 <= x < host.n for x in m)

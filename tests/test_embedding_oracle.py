@@ -438,7 +438,7 @@ def find_new_copy(
                     if rest is not None:
                         rest.update(mapping)
                         return Embedding(
-                            pattern, host, tuple(rest[i] for i in range(pattern.n))
+                            pattern, tuple(rest[i] for i in range(pattern.n))
                         )
     return None
 
@@ -446,7 +446,7 @@ def find_new_copy(
 def find_any_embedding(pattern: Graph, host: Graph) -> Embedding | None:
     """First unconstrained embedding of pattern into host, or None."""
     if pattern.n == 0:
-        return Embedding(pattern, host, ())
+        return Embedding(pattern, ())
     if pattern.n > host.n:
         return None
     info = _pattern_info(pattern)
@@ -454,7 +454,7 @@ def find_any_embedding(pattern: Graph, host: Graph) -> Embedding | None:
     rest = _embed_rest(info.components, info, hv, 0)
     if rest is None:
         return None
-    return Embedding(pattern, host, tuple(rest[i] for i in range(pattern.n)))
+    return Embedding(pattern, tuple(rest[i] for i in range(pattern.n)))
 
 
 # -- the current search against the reference ---------------------------------

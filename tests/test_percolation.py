@@ -1,8 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from test_embedding_oracle import hosts, patterns
 from wsatlab.errors import (
@@ -11,7 +12,7 @@ from wsatlab.errors import (
     InactiveVertexError,
     TraceIncompleteError,
 )
-from wsatlab.embedding import find_new_copy
+from wsatlab.embedding import Embedding, find_new_copy
 from wsatlab.graphs import (
     Graph,
     complete_graph,
@@ -106,6 +107,90 @@ def test_trace_json_roundtrip():
     back = PercolationTrace.from_json(text, star_graph(5), K3)
     assert back == tr
     back.validate()
+    # from_json only parses; the replay rejects a step edge outside the host
+    for edge in ([-1, 0], [5, 0], [0, 0]):
+        bad = json.dumps([{"edge": edge, "witness": [0, 1, 2]}])
+        with pytest.raises(ValueError):
+            PercolationTrace.from_json(bad, star_graph(5), K3).validate()
+
+
+def replays(tr):
+    """Independent replay: each step adds a missing edge, and its mapping
+    is an injective map into the graph right after that edge goes in,
+    carrying every pattern edge to an edge of it, one of them the step's."""
+    g = tr.host
+    for (u, v), emb in tr.steps:
+        if g.has_edge(u, v):
+            return False
+        g = g.with_edge(u, v)
+        m = emb.mapping
+        if len(m) != tr.pattern.n or len(set(m)) != len(m):
+            return False
+        if not all(0 <= x < g.n for x in m):
+            return False
+        images = {tuple(sorted((m[a], m[b]))) for a, b in tr.pattern.edges}
+        if (min(u, v), max(u, v)) not in images or not all(g.has_edge(*e) for e in images):
+            return False
+    return True
+
+
+def fails_validate(tr):
+    try:
+        tr.validate()
+    except AssertionError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosts(), patterns(), st.data())
+def test_trace_replay_rejects_every_single_tamper(host, pattern, data):
+    tr = closure(host, pattern)
+    # from_json only parses: it builds no intermediate graph
+    added = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Graph, "with_edge", lambda g, u, v: added.append((u, v)))
+        back = PercolationTrace.from_json(tr.to_json(), host, pattern)
+    assert added == []
+    assert back == tr
+    back.validate()
+    assert replays(tr)
+    steps = tr.steps
+    assume(steps)
+
+    def tampered(new_steps):
+        return tr._replace(steps=tuple(new_steps))
+
+    # one mapping entry changed: onto another entry's host vertex it always
+    # fails; onto any other value it fails exactly when the replay does
+    k = data.draw(st.integers(0, len(steps) - 1))
+    edge, emb = steps[k]
+    i, j = data.draw(st.permutations(range(pattern.n)))[:2]
+    x = data.draw(st.sampled_from([x for x in range(-1, host.n + 1) if x != emb.mapping[i]]))
+    for value, must_fail in ((emb.mapping[j], True), (x, False)):
+        mapping = emb.mapping[:i] + (value,) + emb.mapping[i + 1 :]
+        bad = tampered(steps[:k] + ((edge, Embedding(pattern, mapping)),) + steps[k + 1 :])
+        assert fails_validate(bad) == (not replays(bad))
+        assert fails_validate(bad) or not must_fail
+    # one step repeated, anywhere after itself: its edge is already in
+    at = data.draw(st.integers(k + 1, len(steps)))
+    bad = tampered(steps[:at] + (steps[k],) + steps[at:])
+    assert fails_validate(bad) and not replays(bad)
+    # dropping a step, or swapping it with a later one, corrupts the trace
+    # when a later witness uses its edge (the last step alone can go)
+    uses = [
+        (a, b)
+        for a in range(len(steps))
+        for b in range(a + 1, len(steps))
+        if steps[b][1].contains_edge(steps[a][0])
+    ]
+    if uses:
+        a, b = data.draw(st.sampled_from(uses))
+        dropped = tampered(steps[:a] + steps[a + 1 :])
+        swapped = list(steps)
+        swapped[a], swapped[b] = steps[b], steps[a]
+        for bad in (dropped, tampered(swapped)):
+            assert fails_validate(bad) and not replays(bad)
 
 
 def test_activation_partition_star():
@@ -197,8 +282,6 @@ def test_rotation_validation():
 def test_empty_ownership_error():
     host = star_graph(3)
     ap = ActivationPartition(
-        host=host,
-        pattern=K3,
         parts=(Part(frozenset({0, 1, 2}), (1, 2), frozenset()),),
         free_edges=frozenset(host.edges),
         g_hat=host.with_edge(1, 2),
@@ -207,8 +290,6 @@ def test_empty_ownership_error():
         list(enumerate_a_matchings(ap))
     # every reader of the pools raises the same error, before any budget check
     ap = ActivationPartition(
-        host=host,
-        pattern=K3,
         parts=(
             Part(frozenset({0, 1}), (0, 1), frozenset({(0, 1)})),
             Part(frozenset({2}), (1, 2), frozenset()),

@@ -109,7 +109,7 @@ def synthetic_partition(rng: random.Random) -> ActivationPartition:
         owned = frozenset(rng.sample(touching, min(len(touching), want)))
         taken |= owned
         parts.append(Part(vs, min(owned) if owned else (0, 1), owned))
-    return ActivationPartition(g, complete_graph(3), tuple(parts), frozenset(), g)
+    return ActivationPartition(tuple(parts), frozenset(), g)
 
 
 def test_synthetic_partitions_match_reference():

@@ -63,7 +63,7 @@ def reference_wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResul
             if is_weakly_saturated(g, f):
                 found.append(g)
         if found:
-            return WsatResult(n, m, found[0], tuple(found), explored)
+            return WsatResult(n, m, tuple(found), explored)
     raise AssertionError("unreachable: the complete graph is always saturated")
 
 
