@@ -216,7 +216,6 @@ class _Component(NamedTuple):
     size: int
     edges: tuple[tuple[int, int], ...]
     is_clique: bool
-    min_deg: int
     # twin classes of size >= 2 inside a non-clique component, filled as
     # sets: (images_mutually_adjacent, members, member mask, pattern
     # neighbors outside the class)
@@ -290,9 +289,7 @@ def _pattern_info(pattern: Graph) -> _PatternInfo:
             groups.setdefault((degs[a], degs[b]), []).append((a, b))
         comps.append(
             _Component(
-                vs, size, edges, is_clique,
-                min((degs[v] for v in vs), default=0),
-                twins,
+                vs, size, edges, is_clique, twins,
                 tuple((k, tuple(groups[k])) for k in sorted(groups)),
                 plan,
                 {},
@@ -408,23 +405,6 @@ def _iter_sets(cand: int, need: int, mutual_adj, hv: _HostView):
         left.append(nxt >> (v + 1) << (v + 1))
 
 
-def _adjacency_core(cand: int, k: int, adj) -> int:
-    """Largest subset of cand in which every vertex has >= k neighbors
-    inside the subset; any k+1 pairwise-adjacent vertices of cand survive."""
-    while True:
-        drop = 0
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if (adj[v] & cand).bit_count() < k:
-                drop |= low
-        if not drop:
-            return cand
-        cand &= ~drop
-
-
 def _iter_clique_embeddings(comp, hv, used, images):
     """(mapping, image mask) for a clique component: host cliques through
     ``images``, the host vertices of the first pattern vertices, enumerated
@@ -479,13 +459,11 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
     classes = plan.classes
     class_needs = plan.class_needs
     cmasks = []
-    for ci, (is_true, _, _, _) in enumerate(classes):
-        m = avail & degmask(plan.class_degs[ci])
-        for i in plan.class_anchors[ci]:
+    for d, adjacent, need in zip(plan.class_degs, plan.class_anchors, class_needs):
+        m = avail & degmask(d)
+        for i in adjacent:
             m &= hadj[images[i]]
-        if is_true:
-            m = _adjacency_core(m, class_needs[ci] - 1, hadj)
-        if m.bit_count() < class_needs[ci]:
+        if m.bit_count() < need:
             return
         cmasks.append(m)
     class_total = sum(class_needs)
@@ -508,12 +486,7 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
     def fill_children(ci: int, img_mask: int, cmasks_now):
         is_true, cmask, _, to_fill = classes[ci]
         need = class_needs[ci]
-        cand = cmasks_now[0]
-        if is_true:
-            cand = _adjacency_core(cand, need - 1, hadj)
-            if cand.bit_count() < need:
-                return
-        for chosen in _iter_sets(cand, need, hadj if is_true else None, hv):
+        for chosen in _iter_sets(cmasks_now[0], need, hadj if is_true else None, hv):
             add_mask = 0
             for pv, x in zip(to_fill, chosen):
                 mapping[pv] = x
@@ -608,12 +581,6 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
             return
 
 
-def _pool_fits(comp, hv, used) -> bool:
-    # the component needs comp.size unused vertices whose host degree can
-    # support its least-demanding vertex
-    return (hv.full & ~used & hv.degmask(comp.min_deg)).bit_count() >= comp.size
-
-
 def _embeddings(comp, plan, info, hv, used, images=()):
     # (mapping, image mask) of each embedding of comp, with the pinned
     # vertices (plan.anchors, a clique's first ones) on images
@@ -706,8 +673,6 @@ def _embed_rest(pattern, comps, info, hv, head):
     backtracking keeps one frame per placed component on an explicit
     stack, so the number of components is not bounded by recursion depth.
     """
-    if not _pool_fits(comps[0], hv, 0):
-        return None
     # frame k: [embeddings of comps[k], image sets seen, vertices used by
     # comps[:k], current mapping of comps[k]]
     frames = [[head, set(), 0, None]]
@@ -729,8 +694,7 @@ def _embed_rest(pattern, comps, info, hv, head):
             return Embedding(pattern, tuple(out[i] for i in range(pattern.n)))
         comp = comps[len(frames)]
         used_now |= mask
-        fits = _pool_fits(comp, hv, used_now)
-        it = _embeddings(comp, comp.plan, info, hv, used_now) if fits else ()
+        it = _embeddings(comp, comp.plan, info, hv, used_now)
         frames.append([it, set(), used_now, None])
     return None
 
@@ -743,8 +707,10 @@ def find_new_copy(
 
     The forced edge is assigned to each pattern component in turn
     (components in decreasing size), seeding the backtracking at each
-    degree-feasible pattern edge of that component, one per twin orbit;
-    the remaining components are embedded disjointly around the seeded one.
+    degree-feasible pattern edge of that component, one per automorphism
+    orbit of the component (decided the first time a probe reaches the
+    seed); the remaining components are embedded disjointly around the
+    seeded one.
     """
     u, v = forced_edge
     if u > v:

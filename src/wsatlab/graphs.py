@@ -76,8 +76,15 @@ class Graph:
             self._degrees = tuple(map(int.bit_count, self._adj))
         return self._degrees
 
+    def _vertex(self, v: int) -> int:
+        """v itself; a vertex outside the graph raises ValueError (a
+        negative index would otherwise read a row from the end)."""
+        if not (0 <= v < self.n):
+            raise ValueError(f"vertex {v} outside graph")
+        return v
+
     def degree(self, v: int) -> int:
-        return self.degrees[v]
+        return self.degrees[self._vertex(v)]
 
     @property
     def min_degree(self) -> int:
@@ -86,13 +93,13 @@ class Graph:
         return min(self.degrees)
 
     def adj_mask(self, v: int) -> int:
-        return self._adj[v]
+        return self._adj[self._vertex(v)]
 
     def neighbors(self, v: int) -> list[int]:
-        return _bits(self._adj[v])
+        return _bits(self.adj_mask(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
+        return bool(self.adj_mask(u) >> self._vertex(v) & 1)
 
     def is_complete(self) -> bool:
         return self.num_edges == self.n * (self.n - 1) // 2
@@ -220,10 +227,7 @@ def _root(parent: list[int], x: int) -> int:
 def _vertex_subset(g: Graph, s: Iterable[int]) -> tuple[set[int], int]:
     """``s`` as a set and as a mask; a vertex outside g raises ValueError."""
     s = set(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside graph")
-    return s, _mask(s)
+    return s, _mask(map(g._vertex, s))
 
 
 # -- generators -------------------------------------------------------------

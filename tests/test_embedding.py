@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from wsatlab.embedding import (
     _DROPPED,
     Embedding,
+    _HostView,
+    _iter_sets,
     _pattern_info,
     _seed_plan,
     find_any_embedding,
@@ -14,6 +16,8 @@ from wsatlab.embedding import (
 )
 from wsatlab.graphs import (
     Graph,
+    _bits,
+    _mask,
     circulant,
     complete_graph,
     cycle_graph,
@@ -70,6 +74,11 @@ def test_complete_self_embedding():
 def test_forced_edge_must_exist():
     with pytest.raises(ValueError):
         find_new_copy(complete_graph(3), path_graph(3), (0, 2))
+    # (-1, 0) would read as the host edge (2, 0)
+    host = Graph(3, [(0, 2), (1, 2)])
+    for bad, forced in ((-1, (-1, 0)), (3, (0, 3))):
+        with pytest.raises(ValueError, match=f"^vertex {bad} outside graph$"):
+            find_new_copy(complete_graph(2), host, forced)
 
 
 def test_forced_edge_in_either_order():
@@ -354,7 +363,10 @@ def twin_orbit_seeds(pattern):
     )
 
 
-@pytest.mark.parametrize("small, big, i, searches", [(3, 3, 1, 6), (4, 4, 1, 6)])
+@pytest.mark.parametrize(
+    "small, big, i, searches",
+    [(3, 3, 1, 6), (4, 4, 1, 6), (3, 3, 2, 6), (3, 5, 1, 4), (7, 7, 1, 6)],
+)
 def test_closure_searches_each_seed_at_most_once(small, big, i, searches, monkeypatch):
     from wsatlab.constructions import counterexample_host
     from wsatlab.percolation import closure
@@ -373,6 +385,31 @@ def test_forced_middle_edge_on_a_long_path(monkeypatch):
     emb = find_new_copy(path, path, (49, 50))
     assert emb is not None and emb.mapping == tuple(range(100))
     assert len(calls) == 1 <= twin_orbit_seeds(path)
+
+
+def adjacency_core(cand, k, adj):
+    """Largest subset of cand in which every vertex has at least k
+    neighbors inside the subset."""
+    while True:
+        core = _mask(v for v in _bits(cand) if (adj[v] & cand).bit_count() >= k)
+        if core == cand:
+            return cand
+        cand = core
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(small_patterns(max_n=10), twin_rich_patterns()), st.data())
+def test_clique_sets_need_no_core_prune(host, data):
+    # a vertex with fewer than need - 1 neighbors in the mask is in no
+    # need-clique of it, and host twins leave the core together, so the
+    # sets and their order, twin skips included, are the same
+    cand = data.draw(st.integers(0, (1 << host.n) - 1))
+    need = data.draw(st.integers(1, 5))
+    adj = host._adj
+    core = adjacency_core(cand, need - 1, adj)
+    assert list(_iter_sets(cand, need, adj, _HostView(host))) == list(
+        _iter_sets(core, need, adj, _HostView(host))
+    )
 
 
 @st.composite

@@ -43,6 +43,22 @@ def test_graph_basics():
         Graph(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_queries_reject_vertices_outside_the_graph(bad):
+    # -1 would read the last row: (-1, 0) is the edge (2, 0) here
+    g = Graph(3, [(0, 2), (1, 2)])
+    message = f"^vertex {bad} outside graph$"
+    for query in (
+        lambda: g.has_edge(bad, 0),
+        lambda: g.has_edge(0, bad),
+        lambda: g.neighbors(bad),
+        lambda: g.adj_mask(bad),
+        lambda: g.degree(bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            query()
+
+
 def test_circulant_examples():
     g = circulant(8, {1, 4})
     assert g.num_edges == 12 and set(g.degrees) == {3}
