@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import NamedTuple
 from .errors import InfeasibleParamsError
 from .expander import i_alpha_exact, sample_random_regular
-from .graphs import (Graph, circulant, complete_graph, disjoint_union,
-                     graph_to_graph6, subdivide)
+from .graphs import (Graph, _norm_edge, circulant, complete_graph,
+                     disjoint_union, graph_to_graph6, subdivide)
 
 
 class ConstructionParams(NamedTuple):
@@ -209,7 +209,7 @@ def build_delta3(
     if k < 4 or k % 2 or not 0 <= t <= 3 * k // 2 or p < 1:
         raise InfeasibleParamsError(f"invalid delta=3 params: k={k}, p={p}, t={t}")
     long_edges = [(i, i + k // 2) for i in range(k // 2)]
-    outer_edges = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
+    outer_edges = [_norm_edge(i, (i + 1) % k) for i in range(k)]
     return _pinned_subdivision(
         params, circulant(k, {1, k // 2}), long_edges, outer_edges, clique_size
     )
@@ -231,8 +231,8 @@ def build_delta4(
         raise InfeasibleParamsError("params are not for the delta=4 family")
     if k < 5 or k % 2 == 0 or not 0 <= t <= 2 * k or p < 1:
         raise InfeasibleParamsError(f"invalid delta=4 params: k={k}, p={p}, t={t}")
-    short_edges = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
-    long_edges = [tuple(sorted((i, (i + 2) % k))) for i in range(k)]
+    short_edges = [_norm_edge(i, (i + 1) % k) for i in range(k)]
+    long_edges = [_norm_edge(i, (i + 2) % k) for i in range(k)]
     return _pinned_subdivision(
         params, circulant(k, {1, 2}), short_edges, long_edges, clique_size
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, _bits, _mask, _root, twin_classes
+from .graphs import Graph, _bits, _mask, _norm_edge, _root, twin_classes
 
 
 class Embedding(NamedTuple):
@@ -53,11 +53,7 @@ class Embedding(NamedTuple):
 
     def image_edges(self) -> set[tuple[int, int]]:
         m = self.mapping
-        out = set()
-        for u, v in self.pattern.edges:
-            a, b = m[u], m[v]
-            out.add((a, b) if a < b else (b, a))
-        return out
+        return {_norm_edge(m[u], m[v]) for u, v in self.pattern.edges}
 
     def contains_edge(self, e: tuple[int, int]) -> bool:
         """Whether some pattern edge joins a preimage of u to one of v."""

@@ -29,6 +29,10 @@ class BudgetExceededError(WsatlabError):
         self.partial = partial
 
 
+class TraceFormatError(WsatlabError, ValueError):
+    """Trace JSON that is not a list of ``{"edge": [u, v], "witness": [x, ...]}``."""
+
+
 class TraceIncompleteError(WsatlabError):
     """A percolation trace whose terminal graph is not complete was used
     where a weakly saturated host is required."""

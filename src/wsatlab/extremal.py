@@ -291,7 +291,7 @@ def build_f_tilde(
     if clique_pad > max_nonedges:
         raise CapExceededError(f"pad {clique_pad} exceeds the cap {max_nonedges}")
     fp = disjoint_union([f, complete_graph(clique_pad)]) if clique_pad else f
-    nonedges = sorted(fp.non_edges())
+    nonedges = list(fp.non_edges())
     comps = [
         fp.with_edges([nonedges[i] for i in _bits(bits)]) for bits in range(1 << q)
     ]

@@ -32,18 +32,14 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         self._adj = tuple(_add_edges([0] * n, edges))
-        self._hash = None
-        self._edges = None
-        self._degrees = None
+        self._hash = self._edges = self._degrees = None
 
     @classmethod
     def _from_adj(cls, adj: Sequence[int]) -> "Graph":
         g = object.__new__(cls)
         g.n = len(adj)
         g._adj = tuple(adj)
-        g._hash = None
-        g._edges = None
-        g._degrees = None
+        g._hash = g._edges = g._degrees = None
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -51,20 +47,12 @@ class Graph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         if self._edges is None:
-            es = []
-            for u in range(self.n):
-                m = self._adj[u] >> (u + 1)
-                v = u + 1
-                while m:
-                    if m & 1:
-                        es.append((u, v))
-                    m >>= 1
-                    v += 1
-            self._edges = frozenset(es)
+            self._edges = frozenset(self.sorted_edges())
         return self._edges
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges in ascending lexicographic order."""
+        return list(_upper_pairs(self._adj))
 
     @property
     def num_edges(self) -> int:
@@ -122,12 +110,8 @@ class Graph:
         return Graph._from_adj(adj)
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield non-edges in ascending lexicographic order."""
-        for u in range(self.n):
-            row = self._adj[u]
-            for v in range(u + 1, self.n):
-                if not (row >> v & 1):
-                    yield (u, v)
+        """The non-edges in ascending lexicographic order, lazily."""
+        return _upper_pairs(self._adj, (1 << self.n) - 1)
 
     def components(self) -> list[list[int]]:
         seen = 0
@@ -197,6 +181,13 @@ def _add_edges(adj: list[int], edges: Iterable[tuple[int, int]]) -> list[int]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
+
+
+def _upper_pairs(rows: Sequence[int], flip: int = 0) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v), u < v, with bit v of rows[u] ^ flip set, in order."""
+    for u, row in enumerate(rows):
+        for v in _bits((row ^ flip) >> (u + 1) << (u + 1)):
+            yield u, v
 
 
 def _bits(mask: int) -> list[int]:
@@ -339,12 +330,8 @@ def graph_to_graph6(g: Graph) -> str:
         header = chr(126) + chr(126) + "".join(
             chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)
         )
-    bits = []
-    for v in range(1, n):
-        col = g.adj_mask(v)
-        bits.extend((col >> u) & 1 for u in range(v))
-    while len(bits) % 6:
-        bits.append(0)
+    bits = [g._adj[v] >> u & 1 for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
     body = []
     for i in range(0, len(bits), 6):
         word = 0
@@ -381,19 +368,11 @@ def graph6_to_graph(s: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != -(-need // 6):
         raise GraphFormatError(f"graph6 body length does not match n={n}")
-    bits = []
-    for d in body:
-        bits.extend((d >> s) & 1 for s in range(5, -1, -1))
+    bits = [d >> s & 1 for d in body for s in range(5, -1, -1)]
     if any(bits[need:]):
         raise GraphFormatError("nonzero graph6 padding bits")
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph(n, edges)
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def graph_to_edge_list(g: Graph) -> str:
@@ -434,10 +413,8 @@ def read_graph_file(path: str) -> Graph:
 
 
 def write_graph_file(g: Graph, path: str, fmt: str = "graph6") -> None:
+    if fmt not in ("graph6", "edgelist"):  # before open() truncates path
+        raise ValueError(f"unknown format {fmt!r}")
+    text = graph_to_graph6(g) + "\n" if fmt == "graph6" else graph_to_edge_list(g)
     with open(path, "w", encoding="ascii") as fh:
-        if fmt == "graph6":
-            fh.write(graph_to_graph6(g) + "\n")
-        elif fmt == "edgelist":
-            fh.write(graph_to_edge_list(g))
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        fh.write(text)

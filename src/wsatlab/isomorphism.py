@@ -10,6 +10,14 @@ from __future__ import annotations
 from .graphs import Graph
 
 
+def _degree_masks(g: Graph) -> list[int]:
+    """The mask of the vertices of degree d, for each d from 0 to n - 1."""
+    masks = [0] * g.n
+    for v, d in enumerate(g.degrees):
+        masks[d] |= 1 << v
+    return masks
+
+
 def invariant_key(g: Graph) -> tuple:
     """Isomorphism-invariant fingerprint: vertex count, edge count, the
     sorted neighbor-degree codes of the vertices, and the triangle count.
@@ -29,10 +37,7 @@ def invariant_key(g: Graph) -> tuple:
     """
     n = g.n
     adj = g._adj
-    of_degree = [0] * n
-    for v, d in enumerate(g.degrees):
-        of_degree[d] |= 1 << v
-    digits = [((n + 1) ** d, m) for d, m in enumerate(of_degree) if m]
+    digits = [((n + 1) ** d, m) for d, m in enumerate(_degree_masks(g)) if m]
     codes = []
     tri = 0
     for v, row in enumerate(adj):
@@ -57,9 +62,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(gdeg) != sorted(hdeg):
         return False
     gadj, hadj = g._adj, h._adj
-    of_degree: dict[int, int] = {}
-    for x, d in enumerate(hdeg):
-        of_degree[d] = of_degree.get(d, 0) | 1 << x
+    of_degree = _degree_masks(h)
     # order g-vertices by scarcity of their degree class, then degree
     order = sorted(
         range(g.n), key=lambda u: (of_degree[gdeg[u]].bit_count(), -gdeg[u], u)

@@ -28,6 +28,7 @@ from .errors import (
     BudgetExceededError,
     EmptyOwnershipError,
     InactiveVertexError,
+    TraceFormatError,
     TraceIncompleteError,
 )
 from .graphs import Graph, _norm_edge, _root
@@ -73,11 +74,30 @@ class PercolationTrace(NamedTuple):
     def from_json(
         cls, text: str, host: Graph, pattern: Graph
     ) -> "PercolationTrace":
-        steps = []
-        for item in json.loads(text):
-            u, v = item["edge"]
-            steps.append(((u, v), Embedding(pattern, tuple(item["witness"]))))
+        """Parse what ``to_json`` writes; anything else raises
+        TraceFormatError. Whether the steps replay is ``validate``'s part."""
+        try:
+            items = json.loads(text)
+        except ValueError as exc:
+            raise TraceFormatError(f"trace is not JSON: {exc}") from exc
+        if not (isinstance(items, list) and all(map(_is_step, items))):
+            raise TraceFormatError(
+                'not a list of {"edge": [u, v], "witness": [x, ...]}')
+        steps = [(tuple(s["edge"]), Embedding(pattern, tuple(s["witness"])))
+                 for s in items]
         return cls(host, pattern, tuple(steps))
+
+
+def _is_step(item) -> bool:
+    """Whether item is {"edge": [u, v], "witness": [x, ...]} with int
+    entries; type(), not isinstance(), so a JSON true is refused."""
+    return (
+        isinstance(item, dict)
+        and item.keys() == {"edge", "witness"}
+        and all(type(v) is list for v in item.values())
+        and all(type(x) is int for v in item.values() for x in v)
+        and len(item["edge"]) == 2
+    )
 
 
 def closure(host: Graph, pattern: Graph) -> PercolationTrace:
@@ -90,18 +110,15 @@ def closure(host: Graph, pattern: Graph) -> PercolationTrace:
     g = host
     steps = []
     while True:
-        added = False
         for u, v in g.non_edges():
             g2 = g.with_edge(u, v)
             emb = find_new_copy(pattern, g2, (u, v))
             if emb is not None:
                 steps.append(((u, v), emb))
                 g = g2
-                added = True
                 break
-        if not added:
-            break
-    return PercolationTrace(host, pattern, tuple(steps))
+        else:  # a full scan added nothing
+            return PercolationTrace(host, pattern, tuple(steps))
 
 
 def _sweep(host: Graph, pattern: Graph) -> list[tuple[int, int]]:
@@ -118,7 +135,9 @@ def _sweep(host: Graph, pattern: Graph) -> list[tuple[int, int]]:
     grew = True
     while grew and not g.is_complete():
         grew = False
-        for u, v in itertools.combinations(range(g.n), 2):
+        # the pairs missing at the start of the pass; adj also holds the
+        # edges this pass has added so far
+        for u, v in g.non_edges():
             if adj[u] >> v & 1:
                 continue
             if find_new_copy(pattern, g.with_edge(u, v), (u, v)) is None:

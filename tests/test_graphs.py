@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsatlab.errors import GraphFormatError
 from wsatlab.graphs import (
@@ -22,6 +22,7 @@ from wsatlab.graphs import (
     star_graph,
     subdivide,
     twin_classes,
+    write_graph_file,
 )
 from wsatlab.isomorphism import are_isomorphic
 
@@ -214,6 +215,24 @@ def small_graphs(draw, max_n=9):
 
 
 @settings(deadline=None)
+@given(small_graphs(max_n=12))
+@example(Graph(0))
+@example(Graph(1))
+@example(empty_graph(6))
+@example(complete_graph(2))
+@example(complete_graph(7))
+def test_pair_walks_equal_a_lexicographic_scan(g):
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    edges = [e for e in pairs if g.has_edge(*e)]
+    assert g.sorted_edges() == edges
+    assert list(g.non_edges()) == [e for e in pairs if not g.has_edge(*e)]
+    # edges is the frozenset of the same walk, so it iterates as one built
+    # from the lexicographic list does
+    assert g.edges == frozenset(edges)
+    assert list(g.edges) == list(frozenset(edges))
+
+
+@settings(deadline=None)
 @given(small_graphs())
 def test_twin_classes_are_automorphic_and_disjoint(g):
     seen: set[int] = set()
@@ -304,3 +323,11 @@ def test_read_graph_file_rejects_non_ascii(tmp_path):
     path.write_bytes(b"C\xe9\n")
     with pytest.raises(GraphFormatError):
         read_graph_file(str(path))
+
+
+def test_write_graph_file_checks_the_format_before_opening(tmp_path):
+    path = tmp_path / "k3.g6"
+    path.write_bytes(b"Bw\n")
+    with pytest.raises(ValueError, match="unknown format 'dot'"):
+        write_graph_file(path_graph(3), str(path), fmt="dot")
+    assert path.read_bytes() == b"Bw\n"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,9 @@ from wsatlab.errors import (
     BudgetExceededError,
     EmptyOwnershipError,
     InactiveVertexError,
+    TraceFormatError,
     TraceIncompleteError,
+    WsatlabError,
 )
 from wsatlab.embedding import Embedding, find_new_copy
 from wsatlab.graphs import (
@@ -26,6 +29,7 @@ from wsatlab.percolation import (
     Part,
     PercolationTrace,
     _sweep,
+    _twins,
     a_matching,
     activation_partition,
     closure,
@@ -112,6 +116,54 @@ def test_trace_json_roundtrip():
         bad = json.dumps([{"edge": edge, "witness": [0, 1, 2]}])
         with pytest.raises(ValueError):
             PercolationTrace.from_json(bad, star_graph(5), K3).validate()
+
+
+STEP = {"edge": [1, 2], "witness": [1, 2, 0]}  # star_graph(5)'s first, under K3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[1]",
+        '[{"edge": [0]}]',
+        '[{"edge": [1, 2]}]',  # no witness
+        '[{"witness": [1, 2, 0]}]',
+        "not json",
+        "",
+        "null",
+        '"[]"',
+        '{"edge": [1, 2], "witness": [1, 2, 0]}',
+        '[[1, 2], [1, 2, 0]]',
+        '[{"edge": [1, 2, 3], "witness": [1, 2, 0]}]',
+        '[{"edge": 1, "witness": [1, 2, 0]}]',
+        '[{"edge": [1, 2], "witness": 0}]',
+        '[{"edge": [1.0, 2], "witness": [1, 2, 0]}]',
+        '[{"edge": [true, 2], "witness": [1, 2, 0]}]',
+        '[{"edge": ["1", 2], "witness": [1, 2, 0]}]',
+        '[{"edge": [1, 2], "witness": [1, 2.5, 0]}]',
+        '[{"edge": [1, 2], "witness": [1, 2, false]}]',
+        '[{"edge": [1, 2], "witness": [1, null, 0]}]',
+        '[{"edge": [1, 2], "witness": [1, 2, 0], "note": 1}]',
+        json.dumps([STEP, {"edge": [1, 3], "witness": [1, 3, "0"]}]),
+    ],
+)
+def test_from_json_refuses_anything_but_integer_steps(text):
+    with pytest.raises(TraceFormatError) as info:
+        PercolationTrace.from_json(text, star_graph(5), K3)
+    assert isinstance(info.value, WsatlabError) and isinstance(info.value, ValueError)
+
+
+def test_from_json_leaves_the_replay_to_validate():
+    # well-formed steps that do not replay parse, and validate refuses them
+    # with the AssertionError that callers catch
+    tr = PercolationTrace.from_json(json.dumps([STEP]), star_graph(5), K3)
+    tr.validate()
+    for step in ({"edge": [1, 2], "witness": [1, 2]}, {"edge": [0, 1], "witness": [0, 1, 2]}):
+        bad = PercolationTrace.from_json(json.dumps([step]), star_graph(5), K3)
+        with pytest.raises(AssertionError):
+            bad.validate()
+    assert PercolationTrace.from_json("[]", star_graph(5), K3).steps == ()
 
 
 def replays(tr):
@@ -470,3 +522,97 @@ def test_sweep_probes_on_the_counterexample_hosts(i, calls, hits, monkeypatch):
     probes = record_probes(monkeypatch)
     assert is_weakly_saturated(counterexample_host(i), counterexample_15_7().graph)
     assert (len(probes), sum(hit for _, _, hit in probes)) == (calls, hits)
+
+
+def sweep_oracle(host, pattern):
+    """The sweep as it scanned pairs before ``non_edges`` fed it: every pair
+    of ``itertools.combinations``, skipping those already in the live
+    adjacency."""
+    from wsatlab import percolation
+
+    g = host
+    adj = list(host._adj)
+    added = []
+    grew = True
+    while grew and not g.is_complete():
+        grew = False
+        for u, v in itertools.combinations(range(g.n), 2):
+            if adj[u] >> v & 1:
+                continue
+            if percolation.find_new_copy(pattern, g.with_edge(u, v), (u, v)) is None:
+                continue
+            grew = True
+            xs, ys = _twins(g, u, v)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            added.append((u, v))
+            for x in xs:
+                for y in ys:
+                    if x != y and not adj[x] >> y & 1:
+                        adj[x] |= 1 << y
+                        adj[y] |= 1 << x
+                        added.append((min(x, y), max(x, y)))
+            g = Graph._from_adj(adj)
+    return added
+
+
+@st.composite
+def twin_blowups(draw):
+    """A random graph on 2-5 vertices with each vertex blown up into 1-3
+    consecutive twins, true (a clique) or false (independent), so that a
+    hit's orbit fills later pairs of its own row."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = rand_graph(rng, rng.randint(2, 5), rng.choice([0.4, 0.7]))
+    blocks, n = [], 0
+    for _ in range(base.n):
+        size = rng.randint(1, 3)
+        blocks.append(range(n, n + size))
+        n += size
+    edges = [(x, y) for a, b in base.edges for x in blocks[a] for y in blocks[b]]
+    for blk in blocks:
+        if rng.random() < 0.5:  # true twins
+            edges += itertools.combinations(blk, 2)
+    return Graph(n, edges)
+
+
+def assert_sweep_matches_oracle(host, pattern):
+    with pytest.MonkeyPatch.context() as m:
+        probes = record_probes(m)
+        added = _sweep(host, pattern)
+        swept = [(e, hit) for e, _, hit in probes]
+        probes.clear()
+        expected = sweep_oracle(host, pattern)
+        oracle = [(e, hit) for e, _, hit in probes]
+    assert added == expected
+    assert swept == oracle
+    return added, {e for e, hit in swept if hit}
+
+
+@pytest.mark.parametrize(
+    "host, pattern",
+    [
+        (star_graph(5), K3),
+        (star_graph(6), K3),
+        (Graph(6, [(u, v) for u in (0, 1) for v in range(2, 6)]), K3),  # K_{2,4}
+        # K3 joined to three independent vertices, under K4 minus an edge
+        (Graph(6, [(0, 1), (0, 2), (1, 2)] + [(x, y) for x in (0, 1, 2) for y in (3, 4, 5)]),
+         Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])),
+    ],
+)
+def test_sweep_equals_the_combinations_scan_on_twin_hosts(host, pattern):
+    added, hits = assert_sweep_matches_oracle(host, pattern)
+    # some hit (u, v) has an orbit edge (u, y) with y > v: a pair that the
+    # pass-start non-edges still list, and only the live adjacency skips
+    later_in_row = []
+    for u, v in added:
+        if (u, v) in hits:
+            row, col = u, v
+        elif u == row and v > col:
+            later_in_row.append((u, v))
+    assert later_in_row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(hosts(), twin_blowups()), patterns())
+def test_sweep_equals_the_combinations_scan(host, pattern):
+    assert_sweep_matches_oracle(host, pattern)
