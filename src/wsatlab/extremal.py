@@ -143,11 +143,22 @@ class _SubproblemNetwork:
     that lets them balance what its edges carry. Raising both terminal arcs
     of v by c_v adds c_v to every cut, so the minimum cuts, and the set
     read off, do not change.
+
+    ``solve`` hands ``max_flow`` the residual-neighbour masks of that start
+    flow, so the kernel scans no arc to build them. ``__init__`` keeps each
+    vertex node's edge neighbours as a node mask (``edges`` are a simple
+    graph's, so each pair has one arc pair). A solve copies them, clears
+    the direction an edge saturates (g = b from u to v, g = -b back), and
+    writes the terminal bits: s -> v and v -> t where the arc has room
+    left, v -> s where v's edges send out d > 0, and t -> v where d < 0.
+    The solved set is read off the complement of the kernel's final
+    reachable mask.
     """
 
     def __init__(self, edges, n):
         self.edges, self.n = edges, n
         deg = [0] * n
+        adj = [0] * (n + 2)  # node 1 + v's edge neighbours, as node bits
         self.net = MaxFlow(n + 2)
         # arc layout: vertex v's source arc is 4v and its sink arc 4v+2;
         # edge i is the arc pair 4n+2i, 4n+2i+1
@@ -158,10 +169,14 @@ class _SubproblemNetwork:
             self.net.add_edge(1 + u, 1 + v, 0)
             deg[u] += 1
             deg[v] += 1
-        self.deg = deg
+            adj[1 + u] |= 2 << v
+            adj[1 + v] |= 2 << u
+        self.deg, self.adj = deg, adj
 
     def solve(self, a: int, b: int, forced: int | None = None) -> frozenset[int]:
         edges, n, net = self.edges, self.n, self.net
+        if forced is not None and not 0 <= forced < n:
+            raise ValueError(f"forced vertex {forced} outside graph")
         # The cut with source side {s} crosses only source arcs, each of
         # capacity w+ + c_v <= 2b*deg(v): w+ <= b*deg(v) as a >= 0, and c_v
         # is at most the net shift, |d| <= b*deg(v). So it costs at most 4bm;
@@ -175,6 +190,7 @@ class _SubproblemNetwork:
             w[forced] = -inf
         shift = [0] * n  # net flow each vertex sends over its edges
         edge_cap = [b] * (2 * len(edges))
+        res = self.adj[:]  # residual-neighbour masks for max_flow
         k = 0
         for u, v in edges:
             ru, rv = room[u], room[v]
@@ -188,20 +204,35 @@ class _SubproblemNetwork:
                 shift[v] -= g
                 edge_cap[k] = b - g
                 edge_cap[k + 1] = b + g
+                if g == b:
+                    res[1 + u] ^= 2 << v
+                elif g == -b:
+                    res[1 + v] ^= 2 << u
             k += 2
         # a vertex whose edges send d on balances it with max(d, 0) on its
         # source arc and max(-d, 0) on its sink arc; after the least offset
         # those arcs have max(w - d, 0) and max(d - w, 0) left
         cap = []
-        for wv, d in zip(w, shift):
+        src = snk = 0
+        sink = 1 << (n + 1)
+        for v, (wv, d) in enumerate(zip(w, shift), 1):
             e = wv - d
             cap += (e if e > 0 else 0, d if d > 0 else 0,
                     -e if e < 0 else 0, -d if d < 0 else 0)
+            if e > 0:
+                src |= 1 << v
+            elif e < 0:
+                res[v] |= sink
+            if d > 0:
+                res[v] |= 1
+            elif d < 0:
+                snk |= 1 << v
+        res[0], res[n + 1] = src, snk
         cap += edge_cap
         net.cap = cap
-        net.max_flow(0, n + 1)
-        side = net.source_side()
-        return frozenset(v for v in range(n) if 1 + v not in side)
+        net.max_flow(0, n + 1, res)
+        # S is the vertices off the residual-reachable side
+        return frozenset(_bits(~net.seen >> 1 & ((1 << n) - 1)))
 
 
 def gamma_min_ratio(g: Graph) -> GammaResult:

@@ -296,6 +296,67 @@ def test_forced_vertex_is_never_on_the_source_side():
             assert s == cold_subproblem(edges, g.n, a, b, forced=v)
 
 
+def scanned_masks(net):
+    """Bit v of mask u iff some arc u -> v of ``net`` has positive residual."""
+    res = [0] * net.n
+    for ei, c in enumerate(net.cap):
+        if c > 0:
+            res[net.to[ei ^ 1]] |= 1 << net.to[ei]
+    return res
+
+
+@settings(deadline=None, max_examples=200)
+@given(subproblem_instances())
+def test_subproblem_masks_match_an_arc_scan(case):
+    edges, n, queries = case
+    net = _SubproblemNetwork(edges, n)
+    flow = net.net
+    calls = []
+    kernel = flow.max_flow
+
+    def checked(s, t, res):
+        calls.append(res == scanned_masks(flow))
+        out = kernel(s, t, res)
+        calls.append(flow.res == scanned_masks(flow))
+        return out
+
+    flow.max_flow = checked
+    for (a, b), forced in queries:
+        net.solve(a, b, forced)
+    assert calls == [True] * (2 * len(queries))
+
+
+def test_forced_vertex_outside_the_graph_raises():
+    net = _SubproblemNetwork([(0, 1), (1, 2)], 3)
+    for forced in (-1, 3, -4):
+        with pytest.raises(ValueError, match=f"forced vertex {forced} outside graph"):
+            net.solve(1, 1, forced)
+
+
+def relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 24), st.sampled_from([0.5, 0.75, 0.9]), st.randoms(use_true_random=False))
+def test_gamma_ratio_matches_cold_oracle_on_dense_graphs(n, p, rng):
+    g = rand_graph(rng, n, p)
+    res = gamma_min_ratio(g)
+    assert (res.value, res.witness, res.nodes_explored) == gamma_min_ratio_cold(g)
+
+
+DELTA4_5_2 = build_delta4(solve_params(4, Fraction(5, 2))).graph
+
+
+@settings(deadline=None, max_examples=5)
+@given(st.permutations(range(DELTA4_5_2.n)))
+def test_gamma_ratio_matches_cold_oracle_on_relabelled_delta4(perm):
+    g = relabel(DELTA4_5_2, perm)
+    res = gamma_min_ratio(g)
+    assert res.value == Fraction(5, 2)
+    assert (res.value, res.witness, res.nodes_explored) == gamma_min_ratio_cold(g)
+
+
 def test_f_tilde_examples():
     assert build_f_tilde(complete_graph(3), clique_pad=0) == complete_graph(3)
     ft = build_f_tilde(path_graph(3), clique_pad=0)

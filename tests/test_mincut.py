@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsatlab.mincut import MaxFlow
@@ -139,3 +140,48 @@ def test_undirected_pairs_match_brute_force_cuts(case):
     net = build_mixed(n, arcs, pairs, flows)
     assert start + net.max_flow(0, n - 1) == best
     assert net.source_side() == set.intersection(*sides)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_networks())
+def test_masks_left_after_max_flow_match_an_arc_scan(case):
+    n, arcs, pairs = case
+    net = build_mixed(n, arcs, pairs)
+    net.max_flow(0, n - 1)
+    scan = [0] * n
+    for ei, c in enumerate(net.cap):
+        if c > 0:
+            scan[net.to[ei ^ 1]] |= 1 << net.to[ei]
+    assert net.res == scan
+
+
+def test_nodes_outside_the_network_raise():
+    net = build(3, [(0, 1, 2), (1, 2, 1)])
+    for s, t in [(-1, 2), (0, 3), (3, 0), (0, -3)]:
+        with pytest.raises(ValueError, match="outside network"):
+            net.max_flow(s, t)
+    for u, v in [(-1, 1), (0, 3)]:
+        with pytest.raises(ValueError, match="outside network"):
+            net.add_edge(u, v, 1)
+    assert net.max_flow(0, 2) == 1
+
+
+def test_source_equal_to_sink_raises():
+    net = build(2, [(0, 1, 1)])
+    for v in (0, 1):
+        with pytest.raises(ValueError, match=f"node {v} is both source and sink"):
+            net.max_flow(v, v)
+
+
+def test_arc_index_chains_every_arc_of_its_node_pair():
+    n = 3
+    net = build(n, [(0, 1, 2), (1, 1, 5), (1, 0, 1), (1, 1, 4), (0, 1, 3), (2, 1, 1)])
+    chains = {}
+    for key, a in net.first.items():
+        while a is not None:
+            chains.setdefault(key, []).append(a)
+            a = net.nxt[a]
+    pairs = {}
+    for ei, v in enumerate(net.to):
+        pairs.setdefault(net.to[ei ^ 1] * n + v, []).append(ei)
+    assert {k: sorted(c) for k, c in chains.items()} == pairs
