@@ -30,6 +30,21 @@ mask work.
 Every backtracking loop keeps an explicit stack or a flat stack of child
 generators, so no pattern size (components, free vertices, twin classes or
 class members) is bounded by recursion depth.
+
+A search with nothing pinned (each component after the seeded one, and
+the first of ``find_any_embedding``) first runs a core fit test: it peels
+the available host vertices to their d-core, d the component's least
+degree, and stops at once unless some connected piece of that core has as
+many vertices and edges as the component. The test is sound:
+  - a copy's image has least degree d, so it lies in the d-core;
+  - the image is connected, so it lies in one piece of the core;
+  - the image carries the component's edges as distinct host edges.
+So the test stops only searches that would find nothing, and otherwise
+the unchanged search runs in the same order. It is skipped for d < 2,
+for components whose vertices are all filled as twin-class sets, which
+``_iter_sets``' count bound covers, and for pinned searches, where it
+cost more time than it saved. It never narrows the candidate masks: the
+branching reads their sizes, so a narrower mask could reorder the search.
 """
 
 from __future__ import annotations
@@ -98,6 +113,9 @@ class _Plan(NamedTuple):
     class_degs: tuple[int, ...]
     class_anchors: tuple[tuple[int, ...], ...]
     class_needs: tuple[int, ...]
+    # (least degree d, vertices, edges) of the component for the core fit
+    # test, or None where the module docstring says the test is skipped
+    fit: tuple[int, int, int] | None
 
 
 def _compile_plan(verts, twins, degs, padj, anchors) -> _Plan:
@@ -109,6 +127,11 @@ def _compile_plan(verts, twins, degs, padj, anchors) -> _Plan:
             classes.append((is_true, cmask, outside, to_fill))
     deferred = _mask(m for *_, to_fill in classes for m in to_fill)
     free = tuple(v for v in verts if v not in pinned and not deferred >> v & 1)
+    fit = None
+    if free and not anchors:
+        d = min(degs[v] for v in verts)
+        if d >= 2:
+            fit = (d, len(verts), sum(degs[v] for v in verts) // 2)
     return _Plan(
         anchors=anchors,
         anchor_edges=tuple(
@@ -134,6 +157,7 @@ def _compile_plan(verts, twins, degs, padj, anchors) -> _Plan:
             for is_true, cmask, outside, _ in classes
         ),
         class_needs=tuple(len(c[3]) for c in classes),
+        fit=fit,
     )
 
 
@@ -422,6 +446,42 @@ def _iter_clique_embeddings(comp, hv, used, images):
         yield mapping, mask
 
 
+def _core_fits(hv, avail, d, size, edges) -> bool:
+    """Whether some connected piece of the d-core of the host's vertices in
+    ``avail`` has at least ``size`` vertices and ``edges`` edges.
+
+    The peel drops each vertex with fewer than d neighbors left and checks
+    its remaining neighbors again, so it ends at the d-core whatever the
+    order (Batagelj & Zaversnik 2003).
+    """
+    adj = hv.adj
+    core = avail & hv.degmask(d)
+    check = core
+    while check:
+        low = check & -check
+        check ^= low
+        row = adj[low.bit_length() - 1]
+        if (row & core).bit_count() < d:
+            core ^= low
+            check |= row & core
+    if core.bit_count() < size:
+        return False
+    while core:
+        piece = frontier = core & -core
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & core & ~piece
+            piece |= frontier
+        core ^= piece
+        if piece.bit_count() >= size and (
+            sum((adj[v] & piece).bit_count() for v in _bits(piece)) >= 2 * edges
+        ):
+            return True
+    return False
+
+
 def _iter_generic_embeddings(plan, info, hv, used, images):
     """Backtracking enumeration of embeddings of one non-clique component,
     with ``plan.anchors`` pinned to ``images``.
@@ -442,6 +502,8 @@ def _iter_generic_embeddings(plan, info, hv, used, images):
             return
     img0 = _mask(images)
     avail = hv.full & ~used & ~img0
+    if plan.fit is not None and not _core_fits(hv, avail, *plan.fit):
+        return
     degmask = hv.degmask
     masks = []
     for d, adjacent in zip(plan.free_degs, plan.free_anchors):
@@ -586,7 +648,7 @@ def _embeddings(comp, plan, info, hv, used, images=()):
 
 
 # seed_plans' mark of a seed that an earlier kept seed's orbit contains
-_DROPPED: _Plan = _Plan((), (), (), (), (), (), (), (), ())
+_DROPPED: _Plan = _Plan((), (), (), (), (), (), (), (), (), None)
 
 
 def _automorphism(comp, info, kept, seed) -> dict[int, int] | None:

@@ -8,6 +8,7 @@ from wsatlab.embedding import (
     _DROPPED,
     Embedding,
     _HostView,
+    _core_fits,
     _iter_sets,
     _pattern_info,
     _seed_plan,
@@ -385,6 +386,90 @@ def test_forced_middle_edge_on_a_long_path(monkeypatch):
     emb = find_new_copy(path, path, (49, 50))
     assert emb is not None and emb.mapping == tuple(range(100))
     assert len(calls) == 1 <= twin_orbit_seeds(path)
+
+
+@pytest.mark.parametrize(
+    "small, big, i, tests, rejected", [(3, 3, 2, 2173, 1876), (3, 5, 1, 2400, 2387)]
+)
+def test_core_fit_counts(small, big, i, tests, rejected, monkeypatch):
+    # every unpinned search of either component of the 15/7 pattern runs
+    # the fit test; a change that stops the exit from firing fails here by
+    # count
+    from wsatlab import embedding
+    from wsatlab.constructions import counterexample_host
+    from wsatlab.percolation import closure
+
+    answers = []
+    real = embedding._core_fits
+
+    def counted(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(embedding, "_core_fits", counted)
+    closure(
+        counterexample_host(i, clique_small=small, clique_big=big),
+        counterexample_pattern(small, big),
+    )
+    assert len(answers) == tests
+    assert answers.count(False) == rejected
+
+
+def cycle_with_chords(rng, k):
+    """A k-cycle plus random chords: connected, least degree at least 2."""
+    edges = [(j, j + 1) for j in range(k - 1)] + [(0, k - 1)]
+    p = rng.choice([0.1, 0.3, 0.6])
+    edges += [
+        (u, v) for u in range(k) for v in range(u + 2, k)
+        if (u, v) != (0, k - 1) and rng.random() < p
+    ]
+    return Graph(k, edges)
+
+
+def has_copy_in(comp, host, free):
+    """Whether some injective map of comp into the host vertices in free
+    carries every edge of comp to a host edge, by plain backtracking over
+    comp's vertices in order."""
+    targets = _bits(free)
+    image = []
+
+    def extend():
+        i = len(image)
+        if i == comp.n:
+            return True
+        for x in targets:
+            if x not in image and all(
+                host.has_edge(image[j], x) for j in range(i) if comp.has_edge(i, j)
+            ):
+                image.append(x)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return extend()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32))
+def test_core_fit_rejects_only_hosts_without_a_copy(seed):
+    rng = random.Random(seed)
+    comp = cycle_with_chords(rng, rng.randint(5, 7))
+    if rng.random() < 0.5:
+        host = rand_graph(rng, rng.randint(1, 12), rng.choice([0.3, 0.5, 0.7, 0.9]))
+    else:
+        # a planted copy, relabelled, plus a few random edges: the core's
+        # piece is often the copy itself, so the bounds are met exactly
+        n = rng.randint(comp.n, 12)
+        to = rng.sample(range(n), comp.n)
+        extra = rand_graph(rng, n, rng.choice([0.0, 0.05, 0.15]))
+        host = extra.with_edges((to[u], to[v]) for u, v in comp.edges)
+    hv = _HostView(host)
+    avail = hv.full & ~(rng.getrandbits(host.n) & rng.getrandbits(host.n))
+    fits = _core_fits(hv, avail, min(comp.degrees), comp.n, comp.num_edges)
+    # a copy has least degree d, is connected and carries |E| host edges,
+    # so it lies in one piece of the d-core that large
+    assert fits or not has_copy_in(comp, host, avail)
 
 
 def adjacency_core(cand, k, adj):

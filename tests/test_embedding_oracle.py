@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wsatlab import constructions, embedding, extremal, percolation
 from wsatlab.embedding import Embedding
@@ -587,6 +587,38 @@ def test_lazy_twins_return_the_reference_copies(host, pattern):
         assert embedding.find_new_copy(pattern, host, forced) == find_new_copy(
             pattern, host, forced
         )
+
+
+def cycle_with_chords(rng, k):
+    """A k-cycle plus random chords: connected, least degree at least 2."""
+    edges = [(j, j + 1) for j in range(k - 1)] + [(0, k - 1)]
+    p = rng.choice([0.1, 0.3, 0.6])
+    edges += [
+        (u, v) for u in range(k) for v in range(u + 2, k)
+        if (u, v) != (0, k - 1) and rng.random() < p
+    ]
+    return Graph(k, edges)
+
+
+# each check undoes its patch in its own monkeypatch.context()
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(seed=st.integers(0, 2**32))
+def test_unions_of_cored_components_match_reference(seed, monkeypatch):
+    # patterns() draws parts of at most 4 vertices, all cliques or all twin
+    # classes; these parts have 5-7 vertices and least degree >= 2, so the
+    # search of a part after the first runs the core fit test unless the
+    # part is a clique or all twin classes
+    rng = random.Random(seed)
+    pattern = disjoint_union(
+        [cycle_with_chords(rng, rng.randint(5, 7)) for _ in range(rng.randint(2, 3))]
+    )
+    host = rand_graph(
+        rng, rng.randint(pattern.n, pattern.n + 3), rng.choice([0.5, 0.7, 0.85])
+    )
+    assert_same_search(host, pattern, monkeypatch)
 
 
 def host_twin_builds(monkeypatch, host, pattern) -> int:
