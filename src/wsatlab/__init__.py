@@ -23,7 +23,16 @@ from .graphs import (
     star_graph,
     subdivide,
 )
-from .embedding import Embedding, find_new_copy
+
+
+def __getattr__(name):
+    # the embedding layer loads on first use (PEP 562), not with the package
+    if name in ("Embedding", "find_new_copy"):
+        from . import embedding
+
+        return getattr(embedding, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Graph",

@@ -12,6 +12,8 @@ Exit codes: 0 success; 1 usage error, malformed input, a work cap below 1,
 or a file that cannot be read or written, with nothing on stdout and one
 "error: " line on stderr; 2 verification failure; 3 budget or cap exhausted.
 A reader that closes stdout early also gets exit 1, with nothing on stderr.
+Each subcommand imports only the layers it runs, and wall_time_ms includes
+that import.
 """
 
 from __future__ import annotations
@@ -24,39 +26,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import (BudgetExceededError, CapExceededError, InfeasibleParamsError,
-                     ParameterRangeError, WsatlabError)
-from .expander import (
-    evaluate_condition,
-    best_eta,
-    i_alpha_exact,
-    sample_random_regular,
-    verify_table,
-)
-from .extremal import (
-    MAX_NONEDGES,
-    build_f_tilde,
-    gamma_min_brute,
-    gamma_min_ratio,
-    wsat_exact,
-)
-from .constructions import (
-    build_delta3,
-    build_delta4,
-    build_high_delta,
-    counterexample_15_7,
-    solve_params,
-    sparse_family,
-)
+from .errors import (BudgetExceededError, CapExceededError, GraphFormatError,
+                     InfeasibleParamsError, ParameterRangeError, WsatlabError)
 from .graphs import Graph, graph_to_graph6, read_graph_file
-from .percolation import (
-    a_matching,
-    activation_partition,
-    closure,
-    count_a_matchings,
-    is_weakly_saturated,
-    rotate,
-)
 
 USAGE_ERROR, VERIFY_ERROR, BUDGET_ERROR = 1, 2, 3
 
@@ -93,6 +65,9 @@ def _load(path: str) -> Graph:
         return read_graph_file(path)
     except OSError as exc:
         raise WsatlabError(f"cannot read {path}: {exc.strerror}") from None
+    except GraphFormatError as exc:
+        # a command may read two files; say which one is malformed
+        raise GraphFormatError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -104,15 +79,20 @@ def _write(path: str, text: str) -> None:
 
 
 # -- one handler per subcommand: args -> (results, exit code) -----------------
+# Each handler imports the layers it runs, so that a call loads only those.
 
 
 def _gamma(args) -> tuple[dict, int]:
+    from .extremal import gamma_min_brute, gamma_min_ratio
+
     g = _load(args.graph)
     res = gamma_min_brute(g) if args.method == "brute" else gamma_min_ratio(g)
     return res.as_report(), 0
 
 
 def _closure(args) -> tuple[dict, int]:
+    from .percolation import closure
+
     tr = closure(_load(args.host), _load(args.pattern))
     if args.trace:
         _write(args.trace, tr.to_json())
@@ -125,28 +105,32 @@ def _closure(args) -> tuple[dict, int]:
 
 
 def _is_wsat(args) -> tuple[dict, int]:
+    from .percolation import is_weakly_saturated
+
     ok = is_weakly_saturated(_load(args.host), _load(args.pattern))
     return {"weakly_saturated": ok}, 0 if ok else VERIFY_ERROR
 
 
 def _wsat(args) -> tuple[dict, int]:
+    from .extremal import wsat_exact
+
     res = wsat_exact(args.n, _load(args.pattern), budget=args.budget)
     return res.as_report(), 0
 
 
 # family -> (options it requires, other options it reads, builder called
-# with the options given, by name)
+# with the constructions module and the options given, by name)
 _FAMILIES = {
-    "sparse": (("delta", "k"), (), sparse_family),
-    "delta3": (("ratio",), ("k", "clique_size"), lambda ratio, k=None, **kw:
-               build_delta3(solve_params(3, ratio, k), **kw)),
-    "delta4": (("ratio",), ("k", "clique_size"), lambda ratio, k=None, **kw:
-               build_delta4(solve_params(4, ratio, k), **kw)),
+    "sparse": (("delta", "k"), (), lambda c, **kw: c.sparse_family(**kw)),
+    "delta3": (("ratio",), ("k", "clique_size"), lambda c, ratio, k=None, **kw:
+               c.build_delta3(c.solve_params(3, ratio, k), **kw)),
+    "delta4": (("ratio",), ("k", "clique_size"), lambda c, ratio, k=None, **kw:
+               c.build_delta4(c.solve_params(4, ratio, k), **kw)),
     "high-delta": (("delta", "ratio", "k"),
                    ("clique_size", "seed", "expander_check", "max_attempts"),
-                   lambda seed=None, **kw: build_high_delta(seed=_seed(seed), **kw)),
-    "counterexample": ((), ("clique_size",), lambda clique_size=100:
-                       counterexample_15_7(clique_big=clique_size)),
+                   lambda c, seed=None, **kw: c.build_high_delta(seed=_seed(seed), **kw)),
+    "counterexample": ((), ("clique_size",), lambda c, clique_size=100:
+                       c.counterexample_15_7(clique_big=clique_size)),
 }
 # every option some family reads
 _CONSTRUCT_OPTIONS = {o for need, read, _ in _FAMILIES.values() for o in need + read}
@@ -166,10 +150,15 @@ def _construct(args) -> tuple[dict, int]:
     unread = [o for o in given if o not in needs + reads]
     if unread:
         raise WsatlabError(f"{args.family} does not read {_flags(unread)}")
-    return build(**given).as_report(), 0
+    from . import constructions
+
+    return build(constructions, **given).as_report(), 0
 
 
 def _rotate(args) -> tuple[dict, int]:
+    from .percolation import (a_matching, activation_partition, closure,
+                              count_a_matchings, rotate)
+
     ap = activation_partition(closure(_load(args.host), _load(args.pattern)))
     total = count_a_matchings(ap)
     if not 0 <= args.matching < total:
@@ -187,6 +176,11 @@ def _rotate(args) -> tuple[dict, int]:
 
 
 def _ftilde(args) -> tuple[dict, int]:
+    from .extremal import MAX_NONEDGES, build_f_tilde
+
+    if args.max_nonedges is None:
+        # set before anything can raise, so that every report shows the cap
+        args.max_nonedges = MAX_NONEDGES
     ft = build_f_tilde(
         _load(args.pattern), clique_pad=args.pad, dedup=args.dedup,
         max_nonedges=args.max_nonedges,
@@ -201,11 +195,15 @@ def _ftilde(args) -> tuple[dict, int]:
 
 
 def _expander_table(args) -> tuple[dict, int]:
+    from .expander import verify_table
+
     rep = verify_table()
     return rep, 0 if rep["all_pass"] else VERIFY_ERROR
 
 
 def _expander_check(args) -> tuple[dict, int]:
+    from .expander import best_eta, evaluate_condition
+
     if args.eta is not None:
         cv = evaluate_condition(args.alpha, args.r, args.eta)
         return {
@@ -227,6 +225,8 @@ def _expander_check(args) -> tuple[dict, int]:
 
 
 def _expander_sample(args) -> tuple[dict, int]:
+    from .expander import i_alpha_exact, sample_random_regular
+
     seed = _seed(args.seed)
     g, attempts = sample_random_regular(args.r, args.n, seed, args.attempts)
     rep = {
@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("pattern")
     f.add_argument("--pad", type=int, default=None)
     f.add_argument("--dedup", action="store_true")
-    f.add_argument("--max-nonedges", type=int, default=MAX_NONEDGES)
+    # None stands for extremal.MAX_NONEDGES, which _ftilde fills in
+    f.add_argument("--max-nonedges", type=int, default=None)
 
     e = sub.add_parser("expander", help="expansion condition numerics")
     esub = e.add_subparsers(dest="expander_command", required=True)

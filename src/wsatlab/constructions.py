@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 from .errors import InfeasibleParamsError
-from .expander import i_alpha_exact, sample_random_regular
 from .graphs import (Graph, _norm_edge, circulant, complete_graph,
                      disjoint_union, graph_to_graph6, subdivide)
 
@@ -274,6 +273,8 @@ def build_high_delta(
     if not 0 < t <= k // 2 + 1:
         raise InfeasibleParamsError(f"t={t} outside (0, k/2+1]")
     alphas = sorted({Fraction(1, 10), Fraction(1, 2), Fraction(t, k)})
+    # the only family that samples, so the others never load the expander layer
+    from .expander import i_alpha_exact, sample_random_regular
 
     def expands(g: Graph) -> bool:
         return all(

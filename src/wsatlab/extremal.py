@@ -21,7 +21,6 @@ from .graphs import (Graph, _bits, _mask, _vertex_subset, complete_graph,
                      disjoint_union, graph_to_graph6)
 from .isomorphism import IsoClassRegistry
 from .mincut import MaxFlow
-from .percolation import is_weakly_saturated
 
 
 def m_f(g: Graph, s: Iterable[int]) -> int:
@@ -429,6 +428,9 @@ def wsat_exact(n: int, f: Graph, budget: int = 2_000_000) -> WsatResult:
         raise ParameterRangeError("pattern must have vertices")
     if budget < 1:
         raise ParameterRangeError("budget must be at least 1")
+    # the only use of the percolation layer here, so gamma never loads it
+    from .percolation import is_weakly_saturated
+
     delta = f.min_degree
     level = [Graph(n)]
     explored = 0

@@ -392,6 +392,9 @@ def edge_list_to_graph(text: str) -> Graph:
         g = Graph(n, edges)
     except ValueError as exc:
         raise GraphFormatError(f"bad edge list: {exc}") from exc
+    except MemoryError:
+        # Graph allocates one adjacency slot per vertex before reading edges
+        raise GraphFormatError(f"{n} vertices do not fit in memory") from None
     if len(edges) != m or g.num_edges != m:  # a repeated pair counts once in g
         found = f"{g.num_edges} in {len(edges)} lines"
         raise GraphFormatError(f"expected {m} distinct edges, found {found}")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -180,6 +181,8 @@ def test_ftilde(files, capsys):
     empty.write_text("0 0\n")
     code, rep = run(capsys, ["ftilde", str(empty), "--pad", "15"])
     assert code == 3 and rep["results"]["message"] == "pad 15 exceeds the cap 14"
+    # the default cap is reported on the budget-error path too
+    assert rep["inputs"]["max_nonedges"] == 14
 
 
 def test_expander_subcommands(capsys):
@@ -335,3 +338,132 @@ def test_closed_stdout_exits_quietly():
     child.stderr.close()
     assert child.wait(timeout=120) == 1
     assert err == b""
+
+
+# a seed whose first 6-regular pairing on 16 vertices is simple, so the
+# high-delta family builds at its first attempt
+HIGH_DELTA = ["construct", "--family", "high-delta", "--delta", "6", "--ratio", "3",
+              "--k", "16", "--seed", "51457"]
+LAYERS = ["constructions", "embedding", "expander", "extremal", "isomorphism",
+          "mincut", "percolation"]
+
+
+def loaded_layers(argv):
+    """Run main on argv in a new interpreter; returns the exit code and the
+    wsatlab modules that interpreter loaded, without the package prefix."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from wsatlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.startswith('wsatlab.'))]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], env=child_env(),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    code, modules = json.loads(out)
+    return code, {m.removeprefix("wsatlab.") for m in modules}
+
+
+def test_each_command_loads_only_its_layers(files):
+    # one interpreter per argv: a shared one keeps every module it loaded
+    base = {"cli", "errors", "graphs"}
+    extremal = base | {"extremal", "isomorphism", "mincut"}
+    percolation = base | {"embedding", "percolation"}
+    cases = [
+        (["gamma", files["k4"]], extremal),
+        (["ftilde", files["c4"], "--pad", "0"], extremal),
+        (["closure", files["star5"], "--pattern", files["k3"]], percolation),
+        (["is-wsat", files["star5"], "--pattern", files["k3"]], percolation),
+        (["rotate", files["star5"], "--pattern", files["k3"]], percolation),
+        (["construct", "--family", "sparse", "--delta", "2", "--k", "5"],
+         base | {"constructions"}),
+        (HIGH_DELTA, base | {"constructions", "expander"}),
+        (["expander", "table"], base | {"expander"}),
+        (["expander", "check", "--alpha", "1/2", "--eta", "7/10"], base | {"expander"}),
+        (["expander", "sample", "--r", "3", "--n", "10"], base | {"expander"}),
+        (["wsat", "--n", "4", "--pattern", files["k3"]],
+         base | set(LAYERS) - {"constructions", "expander"}),
+    ]
+    for argv, expected in cases:
+        assert loaded_layers(argv) == (0, expected), argv
+
+
+def test_package_import_is_graphs_only():
+    code = (
+        "import json, sys, wsatlab\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('wsatlab'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert json.loads(out) == ["wsatlab", "wsatlab.errors", "wsatlab.graphs"]
+
+
+def test_package_names_resolve_to_their_modules():
+    from wsatlab import embedding, find_new_copy, graphs
+
+    assert find_new_copy is embedding.find_new_copy
+    for name in wsatlab.__all__:
+        if name == "__version__":
+            continue
+        owner = embedding if name in ("Embedding", "find_new_copy") else graphs
+        assert getattr(wsatlab, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError):
+        wsatlab.no_such_name
+
+
+def test_child_report_equals_in_process_report(files, capsys):
+    # the in-process run sees every layer already imported; a fresh child
+    # imports only its own, and must report the same
+    for layer in LAYERS:
+        importlib.import_module("wsatlab." + layer)
+    trace = str(files["tmp"] / "trace.json")
+    argvs = [
+        ["gamma", files["k4"], "--method", "brute"],
+        ["closure", files["star5"], "--pattern", files["k3"], "--trace", trace],
+        ["is-wsat", files["e4"], "--pattern", files["k3"]],
+        ["wsat", "--n", "5", "--pattern", files["k3"]],
+        ["construct", "--family", "sparse", "--delta", "2", "--k", "5"],
+        ["construct", "--family", "delta3", "--ratio", "3/2", "--k", "8"],
+        ["construct", "--family", "delta4", "--ratio", "7/3"],
+        HIGH_DELTA,
+        ["construct", "--family", "counterexample", "--clique-size", "9"],
+        ["rotate", files["star5"], "--pattern", files["k3"], "--matching", "5"],
+        ["ftilde", files["c4"], "--pad", "0"],
+        ["expander", "table"],
+        ["expander", "check", "--alpha", "1/3"],
+        ["expander", "sample", "--r", "3", "--n", "10", "--alpha", "1/2", "--seed", "4"],
+    ]
+    reports = {}
+    for argv in argvs:
+        child = subprocess.run(
+            [sys.executable, "-m", "wsatlab.cli", *argv], env=child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        code, rep = run(capsys, argv)
+        assert child.returncode == code, argv
+        from_child = json.loads(child.stdout)
+        for report in (from_child, rep):
+            report.pop("wall_time_ms")
+        assert from_child == rep, argv
+        reports[argv[0]] = code, rep
+    assert reports["is-wsat"][0] == 2
+    # the default cap is reported although --max-nonedges was not given
+    assert reports["ftilde"][1]["inputs"]["max_nonedges"] == 14
+
+
+def test_vertex_count_beyond_memory_exits_with_one_line(tmp_path):
+    # the header asks for 8 PB of adjacency slots, so the one allocation
+    # fails at once; a count that can be allocated would be valid input
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000000000 0\n")
+    child = subprocess.run(
+        [sys.executable, "-m", "wsatlab.cli", "gamma", str(huge)], env=child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr == (
+        f"error: cannot read {huge}: 1000000000000000 vertices do not fit in memory\n"
+    )
