@@ -9,6 +9,11 @@ minimum cut, all in exact rational arithmetic. Each cut is taken on a
 density network with one node per vertex plus a source and a sink
 (Goldberg 1984), at twice the integer scale of the ratio, starting from a
 greedy flow that hands each edge's weight to its endpoints in edge order.
+A cut that pins one vertex into the set runs on the network of that
+vertex's component alone: it is asked only where the empty set is the
+unique unpinned optimum, and then every other component's share of the
+objective stays uniquely empty, so the whole graph's answer is the
+component's.
 """
 
 from __future__ import annotations
@@ -158,18 +163,19 @@ class _SubproblemNetwork:
         self.edges, self.n = edges, n
         deg = [0] * n
         adj = [0] * (n + 2)  # node 1 + v's edge neighbours, as node bits
-        self.net = MaxFlow(n + 2)
         # arc layout: vertex v's source arc is 4v and its sink arc 4v+2;
-        # edge i is the arc pair 4n+2i, 4n+2i+1
-        for v in range(n):
-            self.net.add_edge(0, 1 + v, 0)
-            self.net.add_edge(1 + v, n + 1, 0)
+        # edge i is the arc pair 4n+2i, 4n+2i+1. Each arc's head, then its
+        # tail, in the order of MaxFlow.to
+        to = []
+        for v in range(1, n + 1):
+            to += (v, 0, n + 1, v)
         for u, v in edges:
-            self.net.add_edge(1 + u, 1 + v, 0)
+            to += (1 + v, 1 + u)
             deg[u] += 1
             deg[v] += 1
             adj[1 + u] |= 2 << v
             adj[1 + v] |= 2 << u
+        self.net = MaxFlow.with_arcs(n + 2, to)
         self.deg, self.adj = deg, adj
 
     def solve(self, a: int, b: int, forced: int | None = None) -> frozenset[int]:
@@ -243,6 +249,17 @@ def gamma_min_ratio(g: Graph) -> GammaResult:
     the empty set is the unique unforced optimum, one cut per forced
     vertex finds the best nonempty S. lambda descends through attained
     gamma values until the subproblem optimum hits zero.
+
+    Each forced cut runs on the network of the forced vertex's component,
+    its vertices relabelled by rank, and the set is mapped back. The
+    objective b*m(S) - a*|S| is a sum over components, so when the empty
+    set is its unique minimizer, it is also each component's. Forcing v
+    then leaves every other component's optimum uniquely empty, and the
+    largest minimizer is v's component's forced one: every set, value,
+    witness and solve count is that of a forced cut on the whole network.
+    A connected graph's one component network is the whole one. The sweep
+    keeps vertex order, so ties still go to the first vertex that attains
+    the minimum.
     """
     n = g.n
     if n == 0:
@@ -254,29 +271,44 @@ def gamma_min_ratio(g: Graph) -> GammaResult:
     lam = Fraction(len(edges) - 1, n)
     witness = frozenset(range(n))
     network = _SubproblemNetwork(edges, n)
+    comps = g.components()
+    comp, rank = [0] * n, [0] * n  # v is vertex rank[v] of comp[v]
+    for c, verts in enumerate(comps):
+        for i, v in enumerate(verts):
+            comp[v], rank[v] = c, i
+    if len(comps) == 1:
+        nets = [network]
+    else:
+        # rank keeps the vertex order, so each part stays in edge order
+        parts = [[] for _ in comps]
+        for u, v in edges:
+            parts[comp[u]].append((rank[u], rank[v]))
+        nets = [_SubproblemNetwork(p, len(c)) for p, c in zip(parts, comps)]
     solves = 0
 
-    def solve(lmb: Fraction):
+    def solve(a: int, b: int):
+        """(b*m(S) - a*|S|, S) for a best nonempty S at ratio a/b."""
         nonlocal solves
-        a, b = lmb.numerator, lmb.denominator
         solves += 1
         s = network.solve(a, b)
         if s:
-            return Fraction(m_f(g, s), 1) - lmb * len(s), s
+            return b * m_f(g, s) - a * len(s), s
         best_val, best_s = None, None
         for v in range(n):
             solves += 1
-            sv = network.solve(a, b, forced=v)
-            val = Fraction(m_f(g, sv), 1) - lmb * len(sv)
+            c = comp[v]
+            sv = frozenset(map(comps[c].__getitem__,
+                               nets[c].solve(a, b, forced=rank[v])))
+            val = b * m_f(g, sv) - a * len(sv)
             if best_val is None or val < best_val:
                 best_val, best_s = val, sv
         return best_val, best_s
 
     while True:
-        val, s = solve(lam)
-        h = val - 1
-        if h >= 0:
-            # lam is attained by the current witness and nothing beats it
+        val, s = solve(lam.numerator, lam.denominator)
+        if val >= lam.denominator:
+            # m(S) - lam*|S| >= 1 for every nonempty S: lam is attained by
+            # the current witness and nothing beats it
             return GammaResult(lam, witness, "ratio", solves)
         lam = gamma_of_set(g, s)
         witness = s

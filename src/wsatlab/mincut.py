@@ -23,7 +23,8 @@ layer d + 1 is every node first reached in d + 1 steps. The blocking-flow
 walk steps from u at depth d to the lowest node of ``res[u] & layer[d+1]``
 and finds a live arc to it through a flat index built once per network:
 ``first`` maps the node pair (u, v) to the last arc added from u to v, and
-``nxt`` links each arc to the previous one between the same pair. A dead
+``nxt`` links each arc to the previous one between the same pair
+(``with_arcs`` fills both in one pass where no pair repeats). A dead
 end leaves its layer. An augmentation moves bits only where an arc
 saturates (its pair's bit clears if no parallel arc is left) or where a
 reverse arc reopens from zero.
@@ -76,6 +77,30 @@ class MaxFlow:
         first[fwd] = ei
         nxt.append(first.get(back))
         first[back] = ei + 1
+
+    @classmethod
+    def with_arcs(cls, num_nodes: int, to: list[int]) -> "MaxFlow":
+        """A network with arc 2i from to[2i + 1] to to[2i], for each i, at
+        zero capacity: what those ``add_edge`` calls build, indexed in one
+        pass, for arcs that join distinct node pairs. A pair joined twice,
+        either way round, or a node outside raises ValueError."""
+        if len(to) % 2:
+            raise ValueError("arc heads and tails must pair up")
+        net = cls(num_nodes)
+        n, first = num_nodes, net.first
+        pairs = iter(to)
+        ei = 0
+        for v, u in zip(pairs, pairs):
+            first[u * n + v] = ei
+            first[v * n + u] = ei + 1
+            ei += 2
+        if len(first) < ei:
+            raise ValueError("two arcs join the same pair of nodes")
+        if to:  # raise, naming the lowest or highest bad node
+            net._node(min(to))
+            net._node(max(to))
+        net.to, net.cap, net.nxt = to, [0] * ei, [None] * ei
+        return net
 
     def max_flow(self, s: int, t: int, res: list[int] | None = None) -> int:
         """Augment the current flow to a maximum one; return the flow added.

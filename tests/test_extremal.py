@@ -4,7 +4,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from wsatlab.constructions import (
     build_delta3,
@@ -35,6 +35,7 @@ from wsatlab.graphs import (
     star_graph,
 )
 from wsatlab.isomorphism import are_isomorphic
+from wsatlab.mincut import MaxFlow
 from wsatlab.percolation import is_weakly_saturated
 
 
@@ -355,6 +356,95 @@ def test_gamma_ratio_matches_cold_oracle_on_relabelled_delta4(perm):
     res = gamma_min_ratio(g)
     assert res.value == Fraction(5, 2)
     assert (res.value, res.witness, res.nodes_explored) == gamma_min_ratio_cold(g)
+
+
+@st.composite
+def connected_graphs(draw, max_n=10):
+    """A connected graph on 2 to max_n vertices: a random tree plus edges."""
+    n = draw(st.integers(2, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, tree + draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@st.composite
+def scattered_unions(draw):
+    """A disjoint union of 2 to 4 connected graphs, sometimes led by two
+    copies of one graph, relabelled so that no component is a contiguous
+    range of labels."""
+    parts = draw(st.lists(connected_graphs(), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        parts[1] = parts[0]
+    g = disjoint_union(parts)
+    perm = draw(st.permutations(range(g.n)))
+    g = relabel(g, perm)
+    for comp in g.components():
+        assume(comp[-1] - comp[0] >= len(comp))
+    return g
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(scattered_unions())
+def test_gamma_ratio_matches_cold_oracle_on_scattered_unions(g):
+    res = gamma_min_ratio(g)
+    assert (res.value, res.witness, res.nodes_explored) == gamma_min_ratio_cold(g)
+
+
+def test_gamma_ratio_breaks_ties_between_scattered_copies():
+    # two interleaved copies of one graph attain the same values; the sweep
+    # keeps the first vertex in label order that attains its minimum, which
+    # here lies in the copy on labels 0, 2, 5, 7, 8
+    part = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+    perm = [1, 3, 4, 6, 9, 0, 2, 5, 7, 8]
+    g = relabel(disjoint_union([part, part]), perm)
+    res = gamma_min_ratio(g)
+    assert res.witness == frozenset({0, 2, 5, 7, 8})
+    assert (res.value, res.witness, res.nodes_explored) == gamma_min_ratio_cold(g)
+
+
+@settings(deadline=None, max_examples=100)
+@given(scattered_unions(), st.lists(st.integers(1, 12).flatmap(
+    lambda b: st.tuples(st.integers(0, 4 * b), st.just(b))), max_size=4))
+def test_component_forced_solves_match_the_whole_network(g, ratios):
+    # wherever the whole network's unforced optimum is the empty set alone,
+    # forcing v moves only v's component; the gamma minimum is always such
+    # a ratio, as every nonempty S has m(S) - gamma*|S| >= 1
+    edges = g.sorted_edges()
+    whole = _SubproblemNetwork(edges, g.n)
+    gamma = gamma_min_ratio(g).value
+    ratios = [(gamma.numerator, gamma.denominator)] + ratios
+    for comp in g.components():
+        rank = {v: i for i, v in enumerate(comp)}
+        local = _SubproblemNetwork(
+            [(rank[u], rank[v]) for u, v in edges if u in rank], len(comp))
+        for a, b in ratios:
+            if whole.solve(a, b):
+                continue
+            for v in comp:
+                s = frozenset(comp[i] for i in local.solve(a, b, forced=rank[v]))
+                assert s == whole.solve(a, b, forced=v)
+
+
+def test_each_counted_solve_is_one_max_flow_call(monkeypatch):
+    calls = []
+    kernel = MaxFlow.max_flow
+
+    def counted(self, *args):
+        calls.append(self)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(MaxFlow, "max_flow", counted)
+    rng = random.Random(7)
+    perm = list(range(DELTA4_5_2.n))
+    rng.shuffle(perm)
+    cases = [(build_f_tilde(cycle_graph(5), clique_pad=0), 164),
+             (counterexample_15_7().graph, 117),
+             (relabel(DELTA4_5_2, perm), 56)]
+    for g, solves in cases:
+        calls.clear()
+        assert gamma_min_ratio(g).nodes_explored == solves
+        assert len(calls) == solves
 
 
 def test_f_tilde_examples():

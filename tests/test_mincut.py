@@ -185,3 +185,29 @@ def test_arc_index_chains_every_arc_of_its_node_pair():
     for ei, v in enumerate(net.to):
         pairs.setdefault(net.to[ei ^ 1] * n + v, []).append(ei)
     assert {k: sorted(c) for k, c in chains.items()} == pairs
+
+
+@settings(deadline=None, max_examples=200)
+@given(networks())
+def test_with_arcs_builds_what_add_edge_builds(case):
+    n, arcs = case
+    pairs = set()
+    net, to = MaxFlow(n), []
+    for u, v, _ in arcs:
+        if (u, v) not in pairs and (v, u) not in pairs:
+            pairs.add((u, v))
+            net.add_edge(u, v, 0)
+            to += (v, u)
+    fast = MaxFlow.with_arcs(n, to)
+    assert (fast.to, fast.cap, fast.first, fast.nxt) == (net.to, net.cap, net.first, net.nxt)
+
+
+def test_with_arcs_refuses_a_repeated_pair_or_a_node_outside():
+    for to in ([1, 0, 2, 1, 0, 1], [1, 0, 1, 0], [1, 1], [2, 2, 1, 0]):
+        with pytest.raises(ValueError, match="same pair of nodes"):
+            MaxFlow.with_arcs(3, to)
+    with pytest.raises(ValueError, match="must pair up"):
+        MaxFlow.with_arcs(3, [1, 0, 2])
+    for to, bad in (([1, 0, 3, 1], 3), ([1, -1], -1)):
+        with pytest.raises(ValueError, match=f"node {bad} outside network"):
+            MaxFlow.with_arcs(3, to)
